@@ -85,20 +85,6 @@ let explore_cmd =
              replays feed the checkpointed prefix from the response log and \
              re-execute only the suffix (0: off, default 4).")
   in
-  let fuse_arg =
-    Arg.(
-      value
-      & opt fuse_conv (true, 16, true)
-      & info [ "fuse" ] ~docv:"MODE"
-          ~doc:
-            "Forced-run fusion: $(b,off) (one scheduler round-trip per \
-             step), $(b,dispatch) (fused inner loop with specialized \
-             per-primitive application), $(b,batch:K) (also defer \
-             trace-seq ticks, flushed every K events) or $(b,full) \
-             (default: batch 16 plus incremental DPOR set maintenance). \
-             Every mode explores the same schedules — the stats line \
-             reports fused/batched instrumentation counters.")
-  in
   let crashes_arg =
     Arg.(
       value & opt int 0
@@ -196,8 +182,8 @@ let explore_cmd =
   in
   let run (module L : Ptm_mutex.Mutex_intf.S) max_steps nprocs max_paths
       reduce domains compare progress_every trace pool checkpoint_stride
-      (fuse, batch, incr_dpor) crashes stalls stall_steps checkpoint_file
-      resume tm_step cm engine check =
+      crashes stalls stall_steps checkpoint_file resume tm_step cm engine
+      check =
     let tm_step = Option.map (Cli_common.apply_cm_step cm) tm_step in
     (if check <> None && tm_step = None then begin
        Fmt.epr "--check requires a --tm fixture (lock leaves have no TM \
@@ -307,7 +293,8 @@ let explore_cmd =
     in
     (* Step-form TM fixture: each process runs one instrumented read-write
        transaction (write own object, read the neighbour's), expressible on
-       either machine backend. *)
+       either machine backend. An aborted write ends the attempt: reading
+       on the dead transaction would be a use-after-abort. *)
     let mk_tm (module T : Ptm_core.Tm_intf.S_step) eng () =
       let module Sm = Ptm_machine.Proc.Step in
       let module R = Ptm_core.Runner.Make_step (T) in
@@ -317,8 +304,9 @@ let explore_cmd =
         Ptm_machine.Machine.spawn_step m pid
           (Sm.bind
              (R.atomically ctx ~pid ~retries:1 (fun tx ->
-                  Sm.bind (R.write ctx tx (pid mod 2) (pid + 1)) (fun _ ->
-                      R.read ctx tx ((pid + 1) mod 2))))
+                  Sm.bind (R.write ctx tx (pid mod 2) (pid + 1)) (function
+                    | Error `Abort -> Sm.return (Error `Abort)
+                    | Ok () -> R.read ctx tx ((pid + 1) mod 2))))
              (fun _ -> Sm.return ()))
       done;
       m
@@ -332,8 +320,8 @@ let explore_cmd =
     in
     let search ~mk mode =
       Ptm_machine.Explore.run ~mk ?final ~max_steps ~max_paths ~mode ~domains
-        ~pool ~checkpoint_stride ~fuse ~batch ~incr_dpor ~crashes ~stalls
-        ~stall_steps ?checkpoint_file ~resume ?progress
+        ~pool ~checkpoint_stride ~crashes ~stalls ~stall_steps ?checkpoint_file
+        ~resume ?progress
         ~progress_every:(max 1 progress_every)
         ()
     in
@@ -412,6 +400,6 @@ let explore_cmd =
     Term.(
       const run $ lock_arg $ steps_arg $ procs_arg $ paths_arg $ reduce_arg
       $ domains_arg $ compare_arg $ progress_arg $ trace_arg $ pool_arg
-      $ stride_arg $ fuse_arg $ crashes_arg $ stalls_arg $ stall_steps_arg
+      $ stride_arg $ crashes_arg $ stalls_arg $ stall_steps_arg
       $ checkpoint_arg $ resume_arg $ tm_step_arg $ Cli_common.cm_arg
       $ engine_arg $ check_arg)

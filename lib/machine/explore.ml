@@ -10,7 +10,6 @@ type stats = {
   replay_steps_saved : int;
   fault_branches : int;
   fused_steps : int;
-  batched_events : int;
 }
 
 type mode = Naive | Dpor
@@ -19,8 +18,7 @@ let pp_stats ppf s =
   Fmt.pf ppf
     "paths=%d cut=%d pruned=%d violations=%d replays=%d steps=%d saved=%d%s%s%s%s"
     s.paths s.cut s.pruned s.violations s.replays s.steps s.replay_steps_saved
-    (if s.fused_steps > 0 || s.batched_events > 0 then
-       Printf.sprintf " fused=%d batched=%d" s.fused_steps s.batched_events
+    (if s.fused_steps > 0 then Printf.sprintf " fused=%d" s.fused_steps
      else "")
     (if s.fault_branches > 0 then
        Printf.sprintf " faults=%d" s.fault_branches
@@ -179,8 +177,7 @@ type acc = {
   mutable a_steps : int;
   mutable a_saved : int;
   mutable a_faults : int;  (* fault branches taken (injections performed) *)
-  mutable a_fused : int;  (* steps consumed inside fused inner loops *)
-  mutable a_batched : int;  (* memory events applied by the fused fast arm *)
+  mutable a_fused : int;  (* steps consumed inside forced-run loops *)
   mutable a_ticks : int;  (* leaves since the last progress callback *)
 }
 
@@ -191,9 +188,6 @@ type ctx = {
   max_paths : int;
   pool : bool;  (* effective: forced off when [mk] pre-steps the machine *)
   stride : int;  (* checkpoint depth stride; 0 = checkpointing off *)
-  fuse : bool;  (* effective: forced off when fault budgets are on *)
-  batch : int;  (* trace-tick batch size of fused runs (>= 1) *)
-  incr_dpor : bool;  (* incremental DPOR set maintenance in fused loops *)
   crashes : int;  (* crash-injection budget per path *)
   stalls : int;  (* stall-injection budget per path *)
   stall_steps : int;  (* slots a stall branch parks its pid for *)
@@ -215,7 +209,6 @@ let fresh_acc () =
     a_saved = 0;
     a_faults = 0;
     a_fused = 0;
-    a_batched = 0;
     a_ticks = 0;
   }
 
@@ -232,7 +225,6 @@ let stats_of ctx acc =
     replay_steps_saved = acc.a_saved;
     fault_branches = acc.a_faults;
     fused_steps = acc.a_fused;
-    batched_events = acc.a_batched;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -371,6 +363,11 @@ let step1 acc m pid =
   acc.a_steps <- acc.a_steps + 1;
   ignore (Machine.unsafe_step m pid : Machine.step_result)
 
+(* Forced-run loops step a lone schedulable process without treating each
+   position as a branch point. Fault branches can sprout below such
+   nodes, so the loops run only while both fault budgets are 0. *)
+let forced_runs ctx = ctx.crashes = 0 && ctx.stalls = 0
+
 (* Produce a machine positioned after the current schedule prefix. Draws a
    pooled machine (restarted in place) when one is free, feeds the longest
    checkpointed prefix from the response log — counted in [a_saved], not
@@ -490,30 +487,22 @@ let fault_branches ctx acc st m sched ~live ~cr ~sl
 (* visited before the in-place head branch, preserving the PR 1 leaf   *)
 (* order. When exactly one process is runnable the rest of the path is *)
 (* forced — runnability of a parked process never changes until it is  *)
-(* scheduled — so the whole tail runs as one fused                     *)
-(* [Machine.run_while_forced] loop without a scheduler round-trip per  *)
-(* step; no node below can branch, so no checkpoints are laid there.   *)
+(* scheduled — so the whole tail is stepped in one loop; no node below  *)
+(* can branch, so no checkpoints are laid there.                       *)
 (* ------------------------------------------------------------------ *)
 
 let rec naive_dfs ctx acc st m sched depth0 ~cr ~sl =
   let depth = ref depth0 in
-  let fused = ref 0 in
-  if ctx.fuse && !depth < ctx.max_steps && not (Machine.any_crashed m) then begin
+  if forced_runs ctx && not (Machine.any_crashed m) then begin
     let live = live_mask m in
     if live <> 0 && live land (live - 1) = 0 then begin
       let p = lowest_bit live in
-      let on_step () =
-        acc.a_steps <- acc.a_steps + 1;
-        sched_push sched m p
-      in
-      let n =
-        Machine.run_fused m p ~max:(ctx.max_steps - !depth) ~batch:ctx.batch
-          ~on_step
-      in
-      acc.a_fused <- acc.a_fused + n;
-      acc.a_batched <- acc.a_batched + Machine.last_batched m;
-      depth := !depth + n;
-      fused := n
+      while !depth < ctx.max_steps && Machine.is_runnable m p do
+        step1 acc m p;
+        sched_push sched m p;
+        incr depth
+      done;
+      acc.a_fused <- acc.a_fused + !depth - depth0
     end
   end;
   (if Machine.any_crashed m then begin
@@ -565,7 +554,7 @@ let rec naive_dfs ctx acc st m sched depth0 ~cr ~sl =
        sched_pop sched
      end
    end);
-  for _ = 1 to !fused do
+  for _ = depth0 to !depth - 1 do
     sched_pop sched
   done
 
@@ -648,121 +637,68 @@ let scan_add st stack nprocs q eq =
     end
   end
 
+(* Record the node at [nd]: its enabled set, sleep set and the packed
+   pending transition of every enabled pid, then run the conflict scan
+   for each enabled transition. The scan only adds backtrack points at
+   shallower nodes, so callers may set [nd]'s backtrack, done and
+   executed-transition fields before or after. *)
+let node_record st stack m nd ~live ~sleep =
+  let n = Machine.nprocs m in
+  nd.n_enabled <- live;
+  nd.n_sleep <- sleep;
+  for pid = 0 to n - 1 do
+    nd.n_pend.(pid) <-
+      (if live land (1 lsl pid) <> 0 then Machine.packed_pend m pid
+       else pause_pend)
+  done;
+  for q = 0 to n - 1 do
+    if live land (1 lsl q) <> 0 then scan_add st stack n q nd.n_pend.(q)
+  done
+
 let rec dpor_dfs ctx acc st stack m sched depth0 sleep0 ~cr ~sl =
   let depth = ref depth0 and sleep = ref sleep0 in
-  (* Forced-run fusion: while the only awake process [p] is forced — either
-     it is the only runnable one, or its next step is trivial and every
-     other enabled process is asleep — the branch structure is fixed: the
-     node's backtrack set starts and ends as {p} (conflict-scan additions
-     can only name enabled processes other than p, all of which are asleep
-     here and would be pruned, which the unwind below tallies). So [p] is
-     stepped in a tight loop; each fused step still records a full node and
-     runs the conflict scan for every enabled process, keeping ancestor
-     backtrack sets — and hence paths/cut/pruned/violations — bit-identical
-     to the unfused search. *)
-  let fused = ref 0 in
-  if ctx.fuse then begin
+  (* Forced runs: while the only awake process [p] is forced — either it
+     is the only runnable one, or its next step is trivial and every other
+     enabled process is asleep — the branch structure is fixed: the node's
+     backtrack set starts and ends as {p} (conflict-scan additions can only
+     name enabled processes other than p, all of which are asleep here and
+     would be pruned, which the unwind below tallies). So [p] is stepped in
+     a loop; each step still records a full node and runs the conflict
+     scan for every enabled process, keeping ancestor backtrack sets — and
+     hence paths/cut/pruned/violations — equal to those of a search that
+     branches at every node. *)
+  if forced_runs ctx then begin
     let continue_ = ref true in
-    (* Incremental set maintenance (on by default, [ctx.incr_dpor]): inside
-       the fused loop only the stepped process [prev_p] changed between
-       consecutive nodes, so instead of re-deriving everything from the
-       machine each iteration —
-       - crash probe: only [prev_p] can have newly failed;
-       - live mask: only [prev_p] can have left it (a parked process's
-         runnability, stall window and plan cursor are untouched until it
-         is scheduled);
-       - pending array: blit the previous node's and re-probe [prev_p]
-         alone;
-       - conflict scan: for q <> prev_p with unchanged pend, the scan's
-         [ai_query] answer changed only if the one new access-index entry
-         ([prev_ep], pushed at the previous node) sits on q's target
-         address; otherwise the previous node already performed the very
-         same backtrack-set add, and those adds are idempotent (guarded by
-         backtrack/done bits that only grow). Each push is checked against
-         each live q exactly once — at the node right after it — so the
-         skipped scans are provably no-ops and the resulting backtrack
-         sets, and hence all stats, are bit-identical.
-       The first iteration ([!fused = 0]) has no previous fused node and
-       runs the full derivation. *)
-    let prev_p = ref (-1) in
-    let prev_ep = ref pause_pend in
-    let live_c = ref 0 in
     while !continue_ do
-      let inc = ctx.incr_dpor && !fused > 0 in
-      let crashed =
-        if inc then Machine.is_failed m !prev_p else Machine.any_crashed m
-      in
-      if !depth >= ctx.max_steps || crashed then continue_ := false
+      if !depth >= ctx.max_steps || Machine.any_crashed m then
+        continue_ := false
       else begin
-        let live =
-          if inc then
-            if Machine.is_runnable m !prev_p then !live_c
-            else !live_c land lnot (1 lsl !prev_p)
-          else live_mask m
-        in
+        let live = live_mask m in
         let awake = live land lnot !sleep in
         if awake = 0 || awake land (awake - 1) <> 0 then continue_ := false
         else begin
           let p = lowest_bit awake in
-          let ep =
-            if inc && p <> !prev_p then stack.(!depth - 1).n_pend.(p)
-            else Machine.packed_pend m p
-          in
+          let ep = Machine.packed_pend m p in
           if not (live = awake || (ep >= 0 && ep land 1 = 1)) then
             continue_ := false
           else begin
-            let n = Machine.nprocs m in
             let nd = stack.(!depth) in
-            nd.n_enabled <- live;
+            node_record st stack m nd ~live ~sleep:!sleep;
             nd.n_backtrack <- 1 lsl p;
             nd.n_done <- 1 lsl p;
-            nd.n_sleep <- !sleep;
             nd.n_exec_pend <- ep;
-            if inc then begin
-              let prev_nd = stack.(!depth - 1) in
-              Array.blit prev_nd.n_pend 0 nd.n_pend 0 n;
-              nd.n_pend.(!prev_p) <-
-                (if live land (1 lsl !prev_p) <> 0 then
-                   Machine.packed_pend m !prev_p
-                 else pause_pend);
-              for q = 0 to n - 1 do
-                if live land (1 lsl q) <> 0 then begin
-                  let eq = Array.unsafe_get nd.n_pend q in
-                  if
-                    q = !prev_p
-                    || (!prev_ep >= 0 && eq >= 0
-                       && eq lsr 1 = !prev_ep lsr 1)
-                  then scan_add st stack n q eq
-                end
-              done
-            end
-            else begin
-              for pid = 0 to n - 1 do
-                nd.n_pend.(pid) <-
-                  (if live land (1 lsl pid) <> 0 then Machine.packed_pend m pid
-                   else pause_pend)
-              done;
-              for q = 0 to n - 1 do
-                if live land (1 lsl q) <> 0 then
-                  scan_add st stack n q nd.n_pend.(q)
-              done
-            end;
             step1 acc m p;
             sched_push sched m p;
             if ep >= 0 then ai_push st (ep lsr 1) (ai_pack !depth p (ep land 1));
             (* sleeping transitions dependent on (p, ep) wake up *)
             sleep := sleep_filter !sleep p ep nd.n_pend;
-            prev_p := p;
-            prev_ep := ep;
-            live_c := live;
             incr depth;
-            incr fused;
             maybe_ckpt ctx st m !depth
           end
         end
       end
     done;
-    acc.a_fused <- acc.a_fused + !fused
+    acc.a_fused <- acc.a_fused + !depth - depth0
   end;
   (if Machine.any_crashed m then begin
      leaf ctx acc;
@@ -802,21 +738,11 @@ let rec dpor_dfs ctx acc st stack m sched depth0 sleep0 ~cr ~sl =
            st.n_cks <- st.n_cks - 1
          done
        end;
-       let n = Machine.nprocs m in
        let nd = stack.(!depth) in
-       nd.n_enabled <- live;
+       node_record st stack m nd ~live ~sleep:!sleep;
        nd.n_backtrack <- 0;
        nd.n_done <- 0;
-       nd.n_sleep <- !sleep;
        nd.n_exec_pend <- pause_pend;
-       for pid = 0 to n - 1 do
-         nd.n_pend.(pid) <-
-           (if live land (1 lsl pid) <> 0 then Machine.packed_pend m pid
-            else pause_pend)
-       done;
-       for q = 0 to n - 1 do
-         if live land (1 lsl q) <> 0 then scan_add st stack n q nd.n_pend.(q)
-       done;
        let awake = live land lnot nd.n_sleep in
        if awake = 0 then begin
          (* sleep-blocked: every enabled transition is covered by an
@@ -867,11 +793,11 @@ let rec dpor_dfs ctx acc st stack m sched depth0 sleep0 ~cr ~sl =
        end
      end
    end);
-  (* Unwind the fused prefix: backtrack points added at fused nodes by
-     deeper conflict scans name asleep processes — the unfused search would
-     have found each asleep in branches() and counted it pruned. (Skipped
-     when Budget unwinds through here, matching the abandoned branches()
-     loops of the unfused search.) *)
+  (* Unwind the forced prefix: backtrack points added at forced nodes by
+     deeper conflict scans name asleep processes — a search branching at
+     every node would have found each asleep in branches() and counted it
+     pruned. (Skipped when Budget unwinds through here, matching that
+     search's abandoned branches() loops.) *)
   for i = !depth - 1 downto depth0 do
     let nd = stack.(i) in
     acc.a_pruned <- acc.a_pruned + popcount (nd.n_backtrack land lnot nd.n_done);
@@ -896,7 +822,6 @@ let empty_stats =
     replay_steps_saved = 0;
     fault_branches = 0;
     fused_steps = 0;
-    batched_events = 0;
   }
 
 let merge_stats s r =
@@ -915,7 +840,6 @@ let merge_stats s r =
     replay_steps_saved = s.replay_steps_saved + r.replay_steps_saved;
     fault_branches = s.fault_branches + r.fault_branches;
     fused_steps = s.fused_steps + r.fused_steps;
-    batched_events = s.batched_events + r.batched_events;
   }
 
 (* A subtree task for the parallel driver: the schedule prefix reaching the
@@ -950,7 +874,7 @@ let mode_name = function Naive -> "naive" | Dpor -> "dpor"
 
 let journal_header ~mode ~max_steps ~max_paths ~crashes ~stalls ~stall_steps
     ~nprocs ~ntasks =
-  Printf.sprintf "ptm-ckpt 2 %s %d %d %d %d %d %d %d" (mode_name mode)
+  Printf.sprintf "ptm-ckpt 3 %s %d %d %d %d %d %d %d" (mode_name mode)
     max_steps max_paths crashes stalls stall_steps nprocs ntasks
 
 let task_line t =
@@ -967,9 +891,9 @@ let done_line i (s : stats) =
     | Some [] -> "e"
     | Some sched -> String.concat "," (List.map string_of_int sched)
   in
-  Printf.sprintf "d %d %d %d %d %d %d %d %d %d %d %d %d %s ." i s.paths
+  Printf.sprintf "d %d %d %d %d %d %d %d %d %d %d %d %s ." i s.paths
     s.cut s.pruned s.violations s.replays s.steps s.replay_steps_saved
-    s.fault_branches s.fused_steps s.batched_events
+    s.fault_branches s.fused_steps
     (if s.exhausted then 1 else 0)
     w
 
@@ -978,7 +902,7 @@ let done_line i (s : stats) =
 let parse_done line =
   match String.split_on_char ' ' (String.trim line) with
   | [ "d"; i; paths; cut; pruned; violations; replays; steps; saved; faults;
-      fused; batched; ex; w; "." ] -> (
+      fused; ex; w; "." ] -> (
       try
         let witness =
           match w with
@@ -1000,7 +924,6 @@ let parse_done line =
               replay_steps_saved = int_of_string saved;
               fault_branches = int_of_string faults;
               fused_steps = int_of_string fused;
-              batched_events = int_of_string batched;
             } )
       with _ -> None)
   | _ -> None
@@ -1151,13 +1074,10 @@ let expand_node ctx acc st mode task' =
 
 let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
     ?(max_paths = 1_000_000) ?(mode = Naive) ?(domains = 1) ?(pool = true)
-    ?(checkpoint_stride = 4) ?(fuse = true) ?(batch = 16)
-    ?(incr_dpor = true) ?(crashes = 0) ?(stalls = 0)
-    ?(stall_steps = 3) ?checkpoint_file ?(resume = false) ?progress
-    ?(progress_every = 10_000) () =
+    ?(checkpoint_stride = 4) ?(crashes = 0) ?(stalls = 0) ?(stall_steps = 3)
+    ?checkpoint_file ?(resume = false) ?progress ?(progress_every = 10_000) () =
   if checkpoint_stride < 0 then
     invalid_arg "Explore.run: checkpoint_stride must be >= 0";
-  if batch < 1 then invalid_arg "Explore.run: batch must be >= 1";
   if crashes < 0 || stalls < 0 then
     invalid_arg "Explore.run: fault budgets must be >= 0";
   if stall_steps < 1 then
@@ -1192,11 +1112,6 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
       max_paths;
       pool = pool && not pre_stepped;
       stride = checkpoint_stride;
-      (* fault branches can sprout below single-runnable nodes, which the
-         forced-run fusion assumes are branch-free: fuse only at budget 0 *)
-      fuse = fuse && crashes = 0 && stalls = 0;
-      batch;
-      incr_dpor;
       crashes;
       stalls;
       stall_steps;

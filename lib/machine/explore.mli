@@ -69,14 +69,9 @@ type stats = {
       (** fault injections performed as branch points (0 when the crash and
           stall budgets are 0) *)
   fused_steps : int;
-      (** steps executed inside fused forced-run loops (0 with [fuse]
-          off); a pure instrumentation counter — the same schedules are
-          explored either way *)
-  batched_events : int;
-      (** memory events the fused loops applied through the specialized
-          fast arm ({!Machine.run_fused}); invariant in [batch] and across
-          engines, but 0 under a recording trace sink (the fast arm only
-          engages with the sink off) *)
+      (** steps executed inside forced-run loops (0 while a fault budget
+          is on); invariant across trace sinks, engines and the replay
+          switches *)
 }
 
 type mode =
@@ -92,9 +87,6 @@ val run :
   ?domains:int ->
   ?pool:bool ->
   ?checkpoint_stride:int ->
-  ?fuse:bool ->
-  ?batch:int ->
-  ?incr_dpor:bool ->
   ?crashes:int ->
   ?stalls:int ->
   ?stall_steps:int ->
@@ -143,11 +135,18 @@ val run :
     otherwise [Invalid_argument] is raised; an absent or truncated journal
     starts a fresh run (and rewrites the file).
 
-    Replay machinery — none of it changes which schedules are explored;
-    [paths]/[cut]/[pruned]/[violations] (and every other stats field
-    except the instrumentation counters [fused_steps]/[batched_events])
-    are bit-identical across every combination of the five switches
-    below, across both machine engines, and for every [batch] value:
+    Forced runs are stepped in a loop rather than branched on: a single
+    runnable process in either mode, or in [Dpor] mode a single awake
+    process whose next step is trivial. In [Dpor] mode every such step
+    still records a full node and runs the conflict scan. The loops run
+    only while both fault budgets are 0, since fault branches can sprout
+    below single-runnable nodes; their steps are counted in
+    [fused_steps].
+
+    Replay machinery — two switches, neither of which changes which
+    schedules are explored: every stats field except the
+    [steps]/[replay_steps_saved] split is identical across both switches
+    and both machine engines.
 
     - [pool] (default [true]) recycles finished machines through a
       per-worker free list: a sibling replay restarts a pooled machine in
@@ -162,22 +161,6 @@ val run :
       back into the restarted machine's continuations ({!Machine.feed}) —
       counted in [replay_steps_saved], not [steps] — and re-executes only
       the suffix.
-    - [fuse] (default [true]) executes forced runs (a single runnable
-      process, or in [Dpor] mode a single awake process whose next step is
-      trivial) in a tight loop without a per-step scheduler round-trip.
-      Automatically disabled while fault budgets are on (fault branches can
-      sprout below single-runnable nodes).
-    - [batch] (default 16; must be [>= 1]) is forwarded to
-      {!Machine.run_fused} for naive-mode forced runs: the fused fast arm
-      defers its trace-seq ticks into a register flushed every [batch]
-      events. Dpor-mode fused loops keep per-step machine stepping (they
-      interleave DPOR bookkeeping between steps), so [batch] does not
-      affect them.
-    - [incr_dpor] (default [true]) maintains the Dpor fused loop's
-      per-node derived state (runnable/crash probes, packed pending
-      events, conflict scans) incrementally from the previous iteration —
-      only the process just stepped can have changed — instead of
-      recomputing it from the whole machine each iteration.
 
     [crashes]/[stalls] (defaults 0) are per-path fault budgets: at every
     branching node with budget remaining, the search adds one crash branch

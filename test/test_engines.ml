@@ -43,13 +43,9 @@ let fingerprint ~nprocs m =
 (* ------------------------------------------------------------------ *)
 
 (* The canonical 2-process TM workload (as in test_explore): each process
-   writes one object and reads the other, transactionally. [observer] is
-   attached before anything is spawned, so an online monitor sees the
-   t-operation notes emitted while spawn runs each program to its first
-   effect. *)
-let mk_step_tm ?observer (module T : Tm_intf.S_step) ~engine ~trace () =
+   writes one object and reads the other, transactionally. *)
+let mk_step_tm (module T : Tm_intf.S_step) ~engine ~trace () =
   let m = Machine.create ~trace ~engine ~nprocs:2 () in
-  Trace.set_observer (Machine.trace m) observer;
   let module R = Runner.Make_step (T) in
   let ctx = R.init m ~nobjs:2 in
   for pid = 0 to 1 do
@@ -231,181 +227,65 @@ let qcheck_engine_differential =
       run Machine.Fibers = run Machine.Steps)
 
 (* ------------------------------------------------------------------ *)
-(* Fusion differentials                                                *)
+(* Pinned explorer stats                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The fused inner loop decomposed into its switches: fusion off, the
-   specialized dispatch arm alone, deferred seq ticks at several batch
-   sizes, and incremental DPOR state maintenance. Every combination must
-   explore the same schedules. *)
-let fuse_variants =
+(* Full stats of the explorer's default path on two structurally different
+   TMs — undolog (in-place with validation) and ostm (helping) — on the
+   Steps engine with the trace off. The literals were recorded from the
+   explorer that still had the fuse, batch and incremental-DPOR switches,
+   at their defaults, and every switch setting agreed with them. They pin
+   the forced-run loops: a change to which positions run forced moves
+   [fused_steps] and the [steps]/[replay_steps_saved] split, and a change
+   to the node bookkeeping moves [pruned]. Naive mode trips the leaf
+   budget here; single-domain budget trips are deterministic. *)
+let pinned_stats =
+  let s ~paths ~cut ~pruned ~exhausted ~replays ~steps ~saved ~fused =
+    {
+      Explore.paths;
+      cut;
+      pruned;
+      violations = 0;
+      first_violation = None;
+      exhausted;
+      replays;
+      steps;
+      replay_steps_saved = saved;
+      fault_branches = 0;
+      fused_steps = fused;
+    }
+  in
   [
-    ("off", false, 1, false);
-    ("dispatch", true, 1, false);
-    ("batch4", true, 4, false);
-    ("batch16", true, 16, false);
-    ("incr4", true, 4, true);
-    ("full", true, 16, true);
+    ( ("undolog", Explore.Naive),
+      s ~paths:489 ~cut:999_511 ~pruned:0 ~exhausted:true ~replays:1_000_009
+        ~steps:4_317_728 ~saved:19_681_748 ~fused:103_078 );
+    ( ("undolog", Explore.Dpor),
+      s ~paths:7 ~cut:142 ~pruned:125 ~exhausted:false ~replays:155
+        ~steps:1579 ~saved:2120 ~fused:336 );
+    ( ("ostm", Explore.Naive),
+      s ~paths:0 ~cut:1_000_000 ~pruned:0 ~exhausted:true ~replays:1_000_014
+        ~steps:4_346_448 ~saved:19_653_716 ~fused:168_859 );
+    ( ("ostm", Explore.Dpor),
+      s ~paths:0 ~cut:38 ~pruned:34 ~exhausted:false ~replays:40 ~steps:412
+        ~saved:556 ~fused:133 );
   ]
 
-(* Fold the fed/executed split (fusing a forced run can move checkpointed
-   positions between the two buckets; [steps + saved] is the invariant)
-   and zero the instrumentation counters — the only stats the fusion
-   switches may move. *)
-let scrub_fuse (s : Explore.stats) =
-  {
-    s with
-    Explore.steps = s.steps + s.replay_steps_saved;
-    replay_steps_saved = 0;
-    fused_steps = 0;
-    batched_events = 0;
-  }
-
-(* Two structurally different TMs on the Steps engine: undolog (in-place
-   with validation) and ostm (helping). Engine-invariance at the default
-   (full) fusion setting is test_explore_differential's job, and the
-   QCheck sweep below exercises the variants on fibers machines. *)
-let test_fuse_variant_differential () =
+let test_pinned_stats () =
   List.iter
-    (fun tname ->
+    (fun ((tname, mode), expected) ->
       let tm = Option.get (Ptm_tms.Registry.stepwise_by_name tname) in
-      let (module T : Tm_intf.S_step) = tm in
-      List.iter
-        (fun (mname, mode) ->
-          let stats (_, fuse, batch, incr_dpor) =
-            scrub_fuse
-              (Explore.run
-                 ~mk:(mk_step_tm tm ~engine:Machine.Steps ~trace:Trace.Off)
-                 ~max_steps:24 ~mode ~fuse ~batch ~incr_dpor ())
-          in
-          let base = stats (List.hd fuse_variants) in
-          List.iter
-            (fun ((vname, _, _, _) as v) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s/%s: %s == off" T.name mname vname)
-                true
-                (stats v = base))
-            (List.tl fuse_variants))
-        [ ("naive", Explore.Naive); ("dpor", Explore.Dpor) ])
-    [ "undolog"; "ostm" ]
-
-(* Machine-level: a forced sequential schedule (each process drained to
-   completion in pid order) driven per-step vs through [run_fused] at
-   several batch sizes, under a recording and a non-recording sink, with
-   a streaming opacity monitor attached throughout — trace, counters,
-   statuses and the monitor's verdict must all agree. *)
-let drive_stepwise m nprocs =
-  for pid = 0 to nprocs - 1 do
-    while Machine.is_runnable m pid do
-      ignore (Machine.step m pid : Machine.step_result)
-    done
-  done
-
-let drive_fused ~batch m nprocs =
-  for pid = 0 to nprocs - 1 do
-    while Machine.is_runnable m pid do
-      ignore
-        (Machine.run_fused m pid ~max:100_000 ~batch ~on_step:(fun () -> ())
-          : int)
-    done
-  done
-
-let test_run_fused_machine_differential () =
-  List.iter
-    (fun ((module T : Tm_intf.S_step) as tm) ->
-      List.iter
-        (fun (sname, trace) ->
-          List.iter
-            (fun (ename, engine) ->
-              let exec drive =
-                let chk = Opacity_stream.create () in
-                let m =
-                  mk_step_tm tm ~engine ~trace
-                    ~observer:(Opacity_stream.on_entry chk)
-                    ()
-                in
-                drive m 2;
-                Machine.check_crashes m;
-                ( fingerprint ~nprocs:2 m,
-                  Format.asprintf "%a" Opacity_stream.pp_verdict
-                    (Opacity_stream.verdict chk) )
-              in
-              let base = exec drive_stepwise in
-              List.iter
-                (fun batch ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf
-                       "%s/%s/%s: run_fused batch %d == per-step" T.name
-                       sname ename batch)
-                    true
-                    (exec (drive_fused ~batch) = base))
-                [ 1; 4; 16 ])
-            [ ("fibers", Machine.Fibers); ("steps", Machine.Steps) ])
-        [ ("full", Trace.Full); ("off", Trace.Off) ])
-    Ptm_tms.Registry.stepwise
-
-(* Random programs with machine-installed fault plans (which, unlike the
-   explorer's fault budgets, keep fusion on and must fire mid-fused-run),
-   explored under a random fusion variant: same search as fusion off. *)
-let qcheck_fuse_differential =
-  let gen =
-    QCheck2.Gen.(
-      let addr = int_bound 2 in
-      let op =
-        frequency
-          [
-            (3, map (fun a -> R a) addr);
-            (3, map2 (fun a v -> W (a, v)) addr (int_bound 9));
-            (2, map3 (fun a e d -> C (a, e, d)) addr (int_bound 3) (int_bound 9));
-            (1, map2 (fun a d -> F (a, d)) addr (int_range 1 3));
-            (1, return P);
-          ]
+      let s =
+        Explore.run
+          ~mk:(mk_step_tm tm ~engine:Machine.Steps ~trace:Trace.Off)
+          ~max_steps:24 ~mode ()
       in
-      let prog = list_size (int_bound 6) op in
-      let faults =
-        oneof
-          [
-            return [];
-            map (fun at -> [ Fault.crash ~pid:0 ~at ]) (int_bound 6);
-            map2
-              (fun at steps -> [ Fault.stall ~pid:1 ~at ~steps ])
-              (int_bound 6) (int_range 1 4);
-          ]
-      in
-      pair (pair prog prog)
-        (pair faults (int_bound (List.length fuse_variants - 1))))
-  in
-  let print ((ops0, ops1), (faults, vi)) =
-    let vname, _, _, _ = List.nth fuse_variants vi in
-    Printf.sprintf "p0=[%s] p1=[%s] faults=%d variant=%s"
-      (String.concat ";" (List.map pp_op ops0))
-      (String.concat ";" (List.map pp_op ops1))
-      (List.length faults) vname
-  in
-  QCheck2.Test.make ~count:60 ~print
-    ~name:"fuse variants explore identically (random programs + plans)" gen
-    (fun ((ops0, ops1), (faults, vi)) ->
-      let _, fuse, batch, incr_dpor = List.nth fuse_variants vi in
-      let mk () =
-        let m = Machine.create ~trace:Trace.Off ~nprocs:2 () in
-        let addrs =
-          Array.init 3 (fun i ->
-              Machine.alloc m ~name:(Printf.sprintf "x%d" i) (Value.Int 0))
-        in
-        Machine.set_faults m faults;
-        Machine.spawn_step m 0 (steps_of_ops addrs ops0);
-        Machine.spawn_step m 1 (steps_of_ops addrs ops1);
-        m
-      in
-      List.for_all
-        (fun mode ->
-          let stats ~fuse ~batch ~incr_dpor =
-            scrub_fuse
-              (Explore.run ~mk ~max_steps:12 ~mode ~fuse ~batch ~incr_dpor ())
-          in
-          stats ~fuse ~batch ~incr_dpor
-          = stats ~fuse:false ~batch:1 ~incr_dpor:false)
-        [ Explore.Naive; Explore.Dpor ])
+      Alcotest.(check string)
+        (Printf.sprintf "%s/%s stats" tname
+           (match mode with Explore.Naive -> "naive" | Explore.Dpor -> "dpor"))
+        (Format.asprintf "%a" Explore.pp_stats expected)
+        (Format.asprintf "%a" Explore.pp_stats s);
+      Alcotest.(check bool) "every field" true (s = expected))
+    pinned_stats
 
 (* [Memory.apply_fast]'s specialized per-primitive branches are a clone of
    [Primitive.apply] (see the keep-in-sync comments in both files); this
@@ -653,6 +533,37 @@ let test_resume_mismatch_rejected () =
   | exception Invalid_argument _ -> ());
   Sys.remove f
 
+(* Format 3 dropped a counter from the done lines. A format-2 journal of the
+   same exploration must be refused: read as format 3, its done lines would
+   fail to parse, be taken for lines cut short by a crash, and their tasks
+   silently explored again. *)
+let test_resume_v2_journal_rejected () =
+  let f = temp_ckpt "v2" in
+  ignore (explore_ttas ~checkpoint_file:f ());
+  let ic = open_in f in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  let to_v2 l =
+    match String.split_on_char ' ' l with
+    | "ptm-ckpt" :: "3" :: rest -> String.concat " " ("ptm-ckpt" :: "2" :: rest)
+    | "d" :: fields ->
+        (* the format-2 column sat just before the exhausted flag, which is
+           followed by the witness and the end marker *)
+        let k = List.length fields - 3 in
+        List.mapi (fun i x -> if i = k then [ "0"; x ] else [ x ]) fields
+        |> List.concat
+        |> List.cons "d"
+        |> String.concat " "
+    | _ -> l
+  in
+  let oc = open_out f in
+  output_string oc (String.concat "\n" (List.map to_v2 lines));
+  close_out oc;
+  (match explore_ttas ~checkpoint_file:f ~resume:true () with
+  | _ -> Alcotest.fail "resume accepted a format-2 journal"
+  | exception Invalid_argument _ -> ());
+  Sys.remove f
+
 let count_done_lines file =
   if not (Sys.file_exists file) then 0
   else begin
@@ -754,16 +665,10 @@ let () =
           Alcotest.test_case "explorer stats equal" `Slow
             test_explore_differential;
           of_q qcheck_engine_differential;
-        ] );
-      ( "fusion",
-        [
-          Alcotest.test_case "fuse variants explore identically" `Slow
-            test_fuse_variant_differential;
-          Alcotest.test_case "run_fused == per-step stepping" `Quick
-            test_run_fused_machine_differential;
-          of_q qcheck_fuse_differential;
           of_q qcheck_apply_fast_pin;
         ] );
+      ( "pinned",
+        [ Alcotest.test_case "explorer stats" `Quick test_pinned_stats ] );
       ( "ostm",
         [ Alcotest.test_case "deep helping chain" `Quick test_ostm_deep_helping ]
       );
@@ -776,6 +681,8 @@ let () =
             test_resume_completed_journal;
           Alcotest.test_case "mismatched journal rejected" `Quick
             test_resume_mismatch_rejected;
+          Alcotest.test_case "format-2 journal rejected" `Quick
+            test_resume_v2_journal_rejected;
           Alcotest.test_case "resume survives kill -9" `Slow
             test_resume_after_kill;
         ] );

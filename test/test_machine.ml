@@ -520,18 +520,15 @@ let test_machine_feed () =
     (Memory.peek (Machine.memory m2) c2);
   ignore c
 
-let test_machine_run_while_forced () =
+(* A lone runnable process is a forced run: round-robin steps it until it
+   finishes or the step budget trips. A budget that covers exactly the
+   remaining steps completes without tripping. *)
+let test_machine_forced_run () =
   let m, c = mk_counter ~rounds:5 1 () in
-  let n = ref 0 in
-  let consumed =
-    Machine.run_while_forced m 0 ~max:3 ~on_step:(fun () -> incr n)
-  in
-  Alcotest.(check int) "max respected" 3 consumed;
-  Alcotest.(check int) "on_step per step" 3 !n;
-  let rest =
-    Machine.run_while_forced m 0 ~max:100 ~on_step:(fun () -> incr n)
-  in
-  Alcotest.(check int) "runs to completion" 2 rest;
+  Alcotest.check_raises "budget respected" Sched.Out_of_steps (fun () ->
+      Sched.round_robin ~max_steps:3 m);
+  Alcotest.(check int) "steps before the trip" 3 (Machine.steps_of m 0);
+  Sched.round_robin ~max_steps:2 m;
   Alcotest.(check bool) "done" true (Machine.all_done m);
   Alcotest.check value "all increments applied" (Value.Int 5)
     (Memory.peek (Machine.memory m) c)
@@ -765,7 +762,7 @@ let () =
           Alcotest.test_case "feed rebuilds a prefix" `Quick
             test_machine_feed;
           Alcotest.test_case "run while forced" `Quick
-            test_machine_run_while_forced;
+            test_machine_forced_run;
         ] );
       ( "rmr",
         [
