@@ -121,7 +121,7 @@ type result = {
   monitor_stats : Opacity_stream.stats option;
   monitored_clients : int;
   out_of_slots : bool;
-  wall : float;  (** host seconds inside the drive loop *)
+  wall : float;  (** monotonic wall-clock seconds inside the drive loop *)
 }
 
 let abort_rate r =
@@ -425,13 +425,14 @@ let run (module T : Tm_intf.S) cfg =
   (* the drive loop: round-robin over runnable processes, feeding the RMR
      streams from the packed pending event immediately before each step *)
   let streams =
-    List.map
-      (fun model ->
-        (model, Rmr.Stream.create model ~nprocs:cfg.nprocs (Machine.memory m)))
-      cfg.rmr_models
+    Array.of_list
+      (List.map
+         (fun model ->
+           Rmr.Stream.create model ~nprocs:cfg.nprocs (Machine.memory m))
+         cfg.rmr_models)
   in
   let slots = ref 0 in
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let out_of_slots = ref false in
   let running = ref true in
   while !running do
@@ -441,11 +442,10 @@ let run (module T : Tm_intf.S) cfg =
         incr slots;
         let p = Machine.packed_pend m pid in
         if p >= 0 then
-          List.iter
-            (fun (_, st) ->
-              Rmr.Stream.feed st ~pid ~addr:(p lsr 1)
-                ~trivial:(p land 1 = 1))
-            streams;
+          for i = 0 to Array.length streams - 1 do
+            Rmr.Stream.feed streams.(i) ~pid ~addr:(p lsr 1)
+              ~trivial:(p land 1 = 1)
+          done;
         ignore (Machine.step m pid : Machine.step_result);
         running := true
       end
@@ -455,7 +455,7 @@ let run (module T : Tm_intf.S) cfg =
       running := false
     end
   done;
-  let wall = Sys.time () -. t0 in
+  let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
   Machine.check_crashes m;
   let sum a = Array.fold_left ( + ) 0 a in
   let steps = ref 0 in
@@ -473,10 +473,10 @@ let run (module T : Tm_intf.S) cfg =
     wasted = sum wasted;
     idle = sum idle;
     rmr =
-      List.map
-        (fun (model, st) ->
-          (Rmr.model_name model, (Rmr.Stream.counts st).Rmr.total))
-        streams;
+      List.mapi
+        (fun i model ->
+          (Rmr.model_name model, (Rmr.Stream.counts streams.(i)).Rmr.total))
+        cfg.rmr_models;
     starved =
       (match det with
       | Some d when Runner.Livelock.tripped d -> Runner.Livelock.starved d

@@ -89,7 +89,9 @@ type result = {
   monitor_stats : Opacity_stream.stats option;
   monitored_clients : int;
   out_of_slots : bool;
-  wall : float;  (** host seconds inside the drive loop *)
+  wall : float;
+      (** monotonic wall-clock seconds inside the drive loop (not CPU
+          time) *)
 }
 
 val abort_rate : result -> float

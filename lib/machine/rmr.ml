@@ -9,150 +9,109 @@ let all_models = [ Cc_write_through; Cc_write_back; Dsm ]
 
 type counts = { per_pid : int array; total : int }
 
-(* Per-address cache line state, per model. For write-through we track the
-   set of processes holding a valid copy. For write-back we track MESI-lite:
-   either one exclusive holder or a set of sharers. *)
-
-type wb_line = Invalid | Shared of int list | Exclusive of int
-
-let iter model memory trace charge =
-  let events = Trace.mem_events trace in
-  match model with
-  | Dsm ->
-      List.iter
-        (fun (e : Trace.mem_event) ->
-          match Memory.owner memory e.addr with
-          | Some o when o = e.pid -> ()
-          | _ -> charge e)
-        events
-  | Cc_write_through ->
-      let valid : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-      let holders a = Option.value ~default:[] (Hashtbl.find_opt valid a) in
-      List.iter
-        (fun (e : Trace.mem_event) ->
-          if Primitive.is_trivial e.prim then begin
-            if not (List.mem e.pid (holders e.addr)) then begin
-              charge e;
-              Hashtbl.replace valid e.addr (e.pid :: holders e.addr)
-            end
-          end
-          else begin
-            (* Write-through: always an RMR; invalidates the other
-               processes' cached copies, but the writer's own line stays
-               valid (the store updates it in place on its way to memory),
-               so a writer re-reading its own line is not charged again. *)
-            charge e;
-            Hashtbl.replace valid e.addr [ e.pid ]
-          end)
-        events
-  | Cc_write_back ->
-      let lines : (int, wb_line) Hashtbl.t = Hashtbl.create 64 in
-      let line a = Option.value ~default:Invalid (Hashtbl.find_opt lines a) in
-      List.iter
-        (fun (e : Trace.mem_event) ->
-          if Primitive.is_trivial e.prim then
-            match line e.addr with
-            | Shared ps when List.mem e.pid ps -> ()
-            | Exclusive p when p = e.pid -> ()
-            | Shared ps ->
-                charge e;
-                Hashtbl.replace lines e.addr (Shared (e.pid :: ps))
-            | Exclusive p ->
-                charge e;
-                (* write back and demote the exclusive holder *)
-                Hashtbl.replace lines e.addr (Shared [ e.pid; p ])
-            | Invalid ->
-                charge e;
-                Hashtbl.replace lines e.addr (Shared [ e.pid ])
-          else
-            match line e.addr with
-            | Exclusive p when p = e.pid -> ()
-            | _ ->
-                charge e;
-                Hashtbl.replace lines e.addr (Exclusive e.pid))
-        events
-
-let count model ~nprocs memory trace =
-  let per_pid = Array.make nprocs 0 in
-  let total = ref 0 in
-  iter model memory trace (fun e ->
-      per_pid.(e.Trace.pid) <- per_pid.(e.Trace.pid) + 1;
-      incr total);
-  { per_pid; total = !total }
-
-(* Incremental accounting for runs too large to retain a trace: the same
-   three cache simulators, fed one event at a time. The caller supplies
-   (pid, addr, triviality) — exactly what [Machine.packed_pend] exposes
-   before a step — so a load driver charges RMRs online under the [Off]
-   sink. The per-model transition tables are kept line-for-line equivalent
-   to [iter]'s (a differential test pins them against each other). *)
+(* The one cache simulator (the interface describes the epoch-stamped
+   state). [seen] is laid out address-major, [addr * nprocs + pid], so
+   growing for fresh addresses is a plain extend-and-blit. *)
 module Stream = struct
   type t = {
     model : model;
     memory : Memory.t;
+    nprocs : int;
     per_pid : int array;
     mutable total : int;
-    wt_valid : (int, int list) Hashtbl.t;  (* Cc_write_through *)
-    wb_lines : (int, wb_line) Hashtbl.t;  (* Cc_write_back *)
+    mutable epoch : int array;
+    mutable seen : int array;
+    mutable excl : int array;
   }
 
   let create model ~nprocs memory =
+    let cells = max 16 (Memory.size memory) in
     {
       model;
       memory;
+      nprocs;
       per_pid = Array.make nprocs 0;
       total = 0;
-      wt_valid = Hashtbl.create 64;
-      wb_lines = Hashtbl.create 64;
+      epoch = Array.make cells 0;
+      seen = Array.make (cells * nprocs) (-1);
+      excl = Array.make cells (-1);
     }
 
-  let charge t pid =
-    t.per_pid.(pid) <- t.per_pid.(pid) + 1;
-    t.total <- t.total + 1
+  let grow t addr =
+    let old = Array.length t.epoch in
+    let cells = max (addr + 1) (2 * old) in
+    let extend a per fill =
+      let b = Array.make (cells * per) fill in
+      Array.blit a 0 b 0 (old * per);
+      b
+    in
+    t.epoch <- extend t.epoch 1 0;
+    t.seen <- extend t.seen t.nprocs (-1);
+    t.excl <- extend t.excl 1 (-1)
 
-  let feed t ~pid ~addr ~trivial =
+  (* One access through the model's transition table; [true] iff it is an
+     RMR. Write-through: a read misses on a stale stamp, a write always
+     misses but leaves the writer's own copy valid (the store updates it
+     in place on its way to memory). Write-back: a read misses on a stale
+     stamp and demotes the exclusive holder, a write misses unless the
+     writer holds the line exclusively. *)
+  let access t ~pid ~addr ~trivial =
     match t.model with
     | Dsm -> (
         match Memory.owner t.memory addr with
-        | Some o when o = pid -> ()
-        | _ -> charge t pid)
-    | Cc_write_through ->
-        let holders =
-          Option.value ~default:[] (Hashtbl.find_opt t.wt_valid addr)
-        in
-        if trivial then begin
-          if not (List.mem pid holders) then begin
-            charge t pid;
-            Hashtbl.replace t.wt_valid addr (pid :: holders)
-          end
-        end
-        else begin
-          charge t pid;
-          Hashtbl.replace t.wt_valid addr [ pid ]
-        end
-    | Cc_write_back -> (
-        let line =
-          Option.value ~default:Invalid (Hashtbl.find_opt t.wb_lines addr)
-        in
+        | Some o -> o <> pid
+        | None -> true)
+    | (Cc_write_through | Cc_write_back) as model ->
+        if addr >= Array.length t.epoch then grow t addr;
+        let i = (addr * t.nprocs) + pid in
+        let e = t.epoch.(addr) in
         if trivial then
-          match line with
-          | Shared ps when List.mem pid ps -> ()
-          | Exclusive p when p = pid -> ()
-          | Shared ps ->
-              charge t pid;
-              Hashtbl.replace t.wb_lines addr (Shared (pid :: ps))
-          | Exclusive p ->
-              charge t pid;
-              Hashtbl.replace t.wb_lines addr (Shared [ pid; p ])
-          | Invalid ->
-              charge t pid;
-              Hashtbl.replace t.wb_lines addr (Shared [ pid ])
-        else
-          match line with
-          | Exclusive p when p = pid -> ()
-          | _ ->
-              charge t pid;
-              Hashtbl.replace t.wb_lines addr (Exclusive pid))
+          if t.seen.(i) = e then false
+          else begin
+            t.seen.(i) <- e;
+            t.excl.(addr) <- -1;
+            true
+          end
+        else if
+          (match model with Cc_write_back -> t.excl.(addr) = pid | _ -> false)
+        then false
+        else begin
+          t.epoch.(addr) <- e + 1;
+          t.seen.(i) <- e + 1;
+          t.excl.(addr) <- pid;
+          true
+        end
+
+  let feed t ~pid ~addr ~trivial =
+    if access t ~pid ~addr ~trivial then begin
+      t.per_pid.(pid) <- t.per_pid.(pid) + 1;
+      t.total <- t.total + 1
+    end
 
   let counts t = { per_pid = Array.copy t.per_pid; total = t.total }
 end
+
+let replay model ~nprocs memory events charge =
+  let s = Stream.create model ~nprocs memory in
+  List.iter
+    (fun (e : Trace.mem_event) ->
+      if
+        Stream.access s ~pid:e.pid ~addr:e.addr
+          ~trivial:(Primitive.is_trivial e.prim)
+      then charge e)
+    events
+
+let iter model memory trace charge =
+  let events = Trace.mem_events trace in
+  let nprocs =
+    List.fold_left (fun n (e : Trace.mem_event) -> max n (e.pid + 1)) 1 events
+  in
+  replay model ~nprocs memory events charge
+
+let count model ~nprocs memory trace =
+  let per_pid = Array.make nprocs 0 in
+  let total = ref 0 in
+  replay model ~nprocs memory (Trace.mem_events trace) (fun e ->
+      per_pid.(e.Trace.pid) <- per_pid.(e.Trace.pid) + 1;
+      incr total);
+  { per_pid; total = !total }

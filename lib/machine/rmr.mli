@@ -1,7 +1,6 @@
 (** Remote memory reference (RMR) accounting (paper, Section 5).
 
-    RMRs are counted offline, by replaying the recorded trace through a cache
-    simulator implementing the paper's three cost models verbatim:
+    One cache simulator implements the paper's three cost models verbatim:
 
     - {e write-through CC}: a read is local iff the reader holds a cached copy
       not invalidated since its previous read; a write always incurs an RMR
@@ -14,6 +13,17 @@
     - {e DSM}: every register is local to exactly one process (its allocation
       [owner]); any access by another process is an RMR. Cells allocated
       without an owner are remote to everybody.
+
+    Cache state is flat and epoch-stamped: per address, an epoch bumped by
+    every charged write access (and, for write-back, the exclusive holder
+    or none); per address and process, the epoch at which the process last
+    obtained a copy. A copy is valid iff its stamp equals the current epoch
+    — after a write only the writer's stamp is current. The arrays grow as
+    the memory allocates, and no access allocates.
+
+    The simulator is fed one event at a time ({!Stream}, for runs that
+    retain no trace); {!count} and {!iter} replay a recorded trace through
+    the same transitions.
 
     A trivial primitive application ([Read], [Ll]) is treated as a read
     access; any nontrivial application (including a failed CAS, which still
@@ -37,15 +47,16 @@ val iter : model -> Memory.t -> Trace.t -> (Trace.mem_event -> unit) -> unit
 
 (** Online accounting for runs too large to retain a trace (the load
     engine's million-transaction sweeps run under the {!Trace.Off} sink):
-    the same cache simulators fed one event at a time, from the
-    (pid, addr, triviality) triple {!Machine.packed_pend} exposes before
-    each step. Feeding a run's events in schedule order yields counts
-    identical to {!count} over the equivalent recorded trace. *)
+    events are fed from the (pid, addr, triviality) triple
+    {!Machine.packed_pend} exposes before each step. Feeding a run's events
+    in schedule order yields counts identical to {!count} over the
+    equivalent recorded trace. *)
 module Stream : sig
   type t
 
   val create : model -> nprocs:int -> Memory.t -> t
-  (** The memory is consulted only for DSM owners. *)
+  (** Pids must be below [nprocs]. Addresses allocated after [create] are
+      accepted; the memory is consulted only for DSM owners. *)
 
   val feed : t -> pid:int -> addr:int -> trivial:bool -> unit
   (** Account one memory event: [trivial] per {!Primitive.is_trivial}

@@ -104,6 +104,43 @@ let test_rmr_accounting () =
       Alcotest.(check bool) (m ^ ": bounded by steps") true (n <= r.Load.steps))
     r.Load.rmr
 
+let test_rmr_does_not_perturb () =
+  (* RMR accounting only observes the pending event before each step:
+     turning it on must leave the execution itself bit-identical *)
+  List.iter
+    (fun tm_name ->
+      let (module T) = Option.get (Ptm_tms.Registry.by_name tm_name) in
+      let key (r : Load.result) =
+        (r.Load.committed, r.Load.aborted, r.Load.failed, r.Load.steps,
+         r.Load.wasted, r.Load.idle)
+      in
+      let off = Load.run (module T) { base with Load.rmr_models = [] } in
+      let on =
+        Load.run (module T)
+          { base with Load.rmr_models = Ptm_machine.Rmr.all_models }
+      in
+      Alcotest.(check bool) (tm_name ^ ": same run") true (key off = key on);
+      Alcotest.(check int) (tm_name ^ ": no RMRs when off") 0
+        (List.length off.Load.rmr))
+    [ "norec"; "norec.x4"; "ofree" ]
+
+let test_rmr_pinned_totals () =
+  (* exact totals of two fixed cells, recorded with the list-of-holders
+     simulators; ofree allocates cells while it runs, so the online
+     accountant sees addresses that did not exist when it was created *)
+  List.iter
+    (fun (tm_name, expected) ->
+      let (module T) = Option.get (Ptm_tms.Registry.by_name tm_name) in
+      let r =
+        Load.run (module T)
+          { base with Load.rmr_models = Ptm_machine.Rmr.all_models }
+      in
+      Alcotest.(check (list (pair string int))) tm_name expected r.Load.rmr)
+    [
+      ("norec.x4", [ ("CC/WT", 1392); ("CC/WB", 1024); ("DSM", 6775) ]);
+      ("ofree", [ ("CC/WT", 1083); ("CC/WB", 993); ("DSM", 3724) ]);
+    ]
+
 let test_crash_under_load () =
   List.iter
     (fun tm_name ->
@@ -188,6 +225,9 @@ let () =
             test_closed_loop_think;
           Alcotest.test_case "partial sampling" `Quick test_partial_sample;
           Alcotest.test_case "online RMR accounting" `Quick test_rmr_accounting;
+          Alcotest.test_case "RMR accounting does not perturb" `Quick
+            test_rmr_does_not_perturb;
+          Alcotest.test_case "RMR totals pinned" `Quick test_rmr_pinned_totals;
           Alcotest.test_case "crash under load" `Quick test_crash_under_load;
           Alcotest.test_case "zipf + hotspot mix" `Quick test_zipf_hot_mix;
           Alcotest.test_case "config validation" `Quick test_bad_configs;

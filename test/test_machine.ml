@@ -649,54 +649,114 @@ let test_rmr_local_spin_is_free () =
   Alcotest.(check int) "wt one miss" 1 wt.Rmr.total;
   Alcotest.(check int) "wb one miss" 1 wb.Rmr.total
 
-let test_rmr_stream_matches_offline () =
-  (* The incremental accountant must agree with the offline replay on every
-     model, over a randomized event sequence mixing trivial and nontrivial
-     primitives, owned and unowned cells. *)
-  let rng = Random.State.make [| 421 |] in
-  let mem = Memory.create () in
-  let addrs =
-    Array.init 6 (fun i ->
-        let owner = if i mod 2 = 0 then Some (i mod 3) else None in
-        Memory.alloc mem ?owner ~name:(Printf.sprintf "s%d" i) (Value.Int 0))
+(* Reference model for the epoch-stamped simulator: the textbook cache
+   simulators, one set of valid holders per line (write-through) and
+   Invalid / Shared holders / Exclusive holder lines (write-back). *)
+type ref_line = Invalid | Shared of int list | Exclusive of int
+
+let reference_rmrs model mem (events : Trace.mem_event list) =
+  let wt = Hashtbl.create 64 and wb = Hashtbl.create 64 in
+  let rmr (e : Trace.mem_event) =
+    let trivial = Primitive.is_trivial e.prim in
+    match model with
+    | Rmr.Dsm -> Memory.owner mem e.addr <> Some e.pid
+    | Rmr.Cc_write_through ->
+        let holders = Option.value ~default:[] (Hashtbl.find_opt wt e.addr) in
+        if not trivial then (
+          Hashtbl.replace wt e.addr [ e.pid ];
+          true)
+        else if List.mem e.pid holders then false
+        else (
+          Hashtbl.replace wt e.addr (e.pid :: holders);
+          true)
+    | Rmr.Cc_write_back -> (
+        let line = Option.value ~default:Invalid (Hashtbl.find_opt wb e.addr) in
+        let set l =
+          Hashtbl.replace wb e.addr l;
+          true
+        in
+        if trivial then
+          match line with
+          | Shared ps when List.mem e.pid ps -> false
+          | Exclusive p when p = e.pid -> false
+          | Shared ps -> set (Shared (e.pid :: ps))
+          | Exclusive p -> set (Shared [ e.pid; p ])
+          | Invalid -> set (Shared [ e.pid ])
+        else
+          match line with
+          | Exclusive p when p = e.pid -> false
+          | _ -> set (Exclusive e.pid))
   in
-  let tr = Trace.create () in
-  let nprocs = 3 in
-  let streams =
-    List.map
-      (fun m -> (m, Rmr.Stream.create m ~nprocs mem))
-      Rmr.all_models
-  in
-  for _ = 1 to 500 do
-    let pid = Random.State.int rng nprocs in
-    let addr = addrs.(Random.State.int rng (Array.length addrs)) in
-    let prim =
-      match Random.State.int rng 4 with
-      | 0 -> Primitive.Read
-      | 1 -> Primitive.Write (Value.Int (Random.State.int rng 5))
-      | 2 ->
-          Primitive.Cas
-            { expected = Value.Int 0; desired = Value.Int (Random.State.int rng 5) }
-      | _ -> Primitive.Ll
-    in
-    let resp, changed = Memory.apply mem ~pid addr prim in
-    Trace.add_mem tr ~pid ~addr prim resp changed;
-    List.iter
-      (fun (_, s) ->
-        Rmr.Stream.feed s ~pid ~addr ~trivial:(Primitive.is_trivial prim))
-      streams
-  done;
-  List.iter
-    (fun (m, s) ->
-      let offline = Rmr.count m ~nprocs mem tr in
-      let online = Rmr.Stream.counts s in
-      Alcotest.(check int)
-        (Rmr.model_name m ^ " total")
-        offline.Rmr.total online.Rmr.total;
-      Alcotest.(check (array int))
-        (Rmr.model_name m ^ " per pid")
-        offline.Rmr.per_pid online.Rmr.per_pid)
-    streams
+  List.rev
+    (List.fold_left (fun acc e -> if rmr e then e.Trace.seq :: acc else acc)
+       [] events)
+
+(* A random run: [nprocs] up to 80 (pids past the 62-bit link masks), a
+   few cells up front and more allocated mid-run, after the online
+   accountants were created. *)
+let gen_rmr_run =
+  QCheck2.Gen.(
+    triple (int_range 1 80) (int_range 1 4)
+      (list_size (int_range 0 300)
+         (quad (int_bound 4) (int_bound 1000) (int_bound 1000) (int_bound 3))))
+
+let rmr_matches_reference =
+  QCheck2.Test.make ~count:300 ~name:"stream and replay match reference"
+    gen_rmr_run (fun (nprocs, cells, ops) ->
+      let mem = Memory.create () in
+      let alloc i =
+        let owner = if i mod 3 = 0 then None else Some (i mod nprocs) in
+        ignore
+          (Memory.alloc mem ?owner ~name:(Printf.sprintf "s%d" i) (Value.Int 0)
+            : Memory.addr)
+      in
+      for i = 0 to cells - 1 do
+        alloc i
+      done;
+      let tr = Trace.create () in
+      let streams =
+        List.map (fun m -> Rmr.Stream.create m ~nprocs mem) Rmr.all_models
+      in
+      List.iter
+        (fun (kind, p, a, v) ->
+          if kind = 4 then alloc (Memory.size mem)
+          else begin
+            let pid = p mod nprocs and addr = a mod Memory.size mem in
+            let prim =
+              match kind with
+              | 0 -> Primitive.Read
+              | 1 -> Primitive.Write (Value.Int v)
+              | 2 ->
+                  Primitive.Cas
+                    { expected = Value.Int 0; desired = Value.Int v }
+              | _ -> Primitive.Ll
+            in
+            let resp, changed = Memory.apply mem ~pid addr prim in
+            Trace.add_mem tr ~pid ~addr prim resp changed;
+            List.iter
+              (fun s ->
+                Rmr.Stream.feed s ~pid ~addr
+                  ~trivial:(Primitive.is_trivial prim))
+              streams
+          end)
+        ops;
+      let events = Trace.mem_events tr in
+      List.for_all2
+        (fun m s ->
+          let expected = reference_rmrs m mem events in
+          let per_pid = Array.make nprocs 0 in
+          List.iter
+            (fun (e : Trace.mem_event) ->
+              if List.mem e.seq expected then
+                per_pid.(e.pid) <- per_pid.(e.pid) + 1)
+            events;
+          let want = { Rmr.per_pid; total = List.length expected } in
+          let charged = ref [] in
+          Rmr.iter m mem tr (fun e -> charged := e.Trace.seq :: !charged);
+          List.rev !charged = expected
+          && Rmr.count m ~nprocs mem tr = want
+          && Rmr.Stream.counts s = want)
+        Rmr.all_models streams)
 
 let () =
   Alcotest.run "machine"
@@ -775,7 +835,6 @@ let () =
             test_rmr_failed_cas_is_write_access;
           Alcotest.test_case "local spin free" `Quick
             test_rmr_local_spin_is_free;
-          Alcotest.test_case "stream matches offline" `Quick
-            test_rmr_stream_matches_offline;
+          QCheck_alcotest.to_alcotest rmr_matches_reference;
         ] );
     ]
