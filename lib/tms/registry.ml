@@ -53,7 +53,7 @@ let by_name n =
 
 let stepwise : Ptm_core.Tm_intf.tm_step list =
   [ (module Undolog.Stepwise); (module Ostm.Stepwise);
-    (module Norec.Stepwise); (module Sgl.Stepwise);
+    (module Tl2.Stepwise); (module Norec.Stepwise); (module Sgl.Stepwise);
     (module Ofree.Stepwise) ]
 
 let ofree_cms_stepwise : Ptm_core.Tm_intf.tm_step list =
@@ -68,11 +68,14 @@ let ofree_with_cm_step (kind : Ptm_core.Cm.kind) : Ptm_core.Tm_intf.tm_step =
   | Ptm_core.Cm.Timestamp -> (module Ofree.Stepwise_timestamp)
 
 module Norec_x4_step = Sharded.Make_step (X4) (Norec.Stepwise)
+module Tl2_x4_step = Sharded.Make_step (X4) (Tl2.Stepwise)
+module Undolog_x4_step = Sharded.Make_step (X4) (Undolog.Stepwise)
 module Sgl_x4_step = Sharded.Make_step (X4) (Sgl.Stepwise)
 module Ofree_x4_step = Sharded.Make_step (X4) (Ofree.Stepwise)
 
 let sharded_stepwise : Ptm_core.Tm_intf.tm_step list =
-  [ (module Norec_x4_step); (module Sgl_x4_step); (module Ofree_x4_step) ]
+  [ (module Norec_x4_step); (module Tl2_x4_step); (module Undolog_x4_step);
+    (module Sgl_x4_step); (module Ofree_x4_step) ]
 
 let stepwise_by_name n =
   List.find_opt

@@ -437,9 +437,13 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
       | None -> stable_read t ~pid x
       | Some v ->
           let* q1 = Sm.read_int t.seq.(s) in
-          let* f1 = Sm.read_int t.fence.(s) in
-          if q1 = q0 && fence_ok ~pid f1 then Sm.return (v, q0)
-          else stable_read t ~pid x
+          (* short-circuits like the direct form's (&&): no fence read
+             once the seqlock has moved *)
+          if q1 <> q0 then stable_read t ~pid x
+          else
+            let* f1 = Sm.read_int t.fence.(s) in
+            if fence_ok ~pid f1 then Sm.return (v, q0)
+            else stable_read t ~pid x
 
   let touched tx =
     let acc = ref [] in

@@ -9,3 +9,7 @@
     also outside the read/write/conditional class of Theorem 9. *)
 
 include Ptm_core.Tm_intf.S
+
+module Stepwise : Ptm_core.Tm_intf.S_step with type t = t and type tx = tx
+(** The step-machine form the direct-style interface is derived from;
+    runnable on either {!Ptm_machine.Machine} backend. *)

@@ -43,11 +43,13 @@ let fingerprint ~nprocs m =
 (* ------------------------------------------------------------------ *)
 
 (* The canonical 2-process TM workload (as in test_explore): each process
-   writes one object and reads the other, transactionally. *)
-let mk_step_tm (module T : Tm_intf.S_step) ~engine ~trace () =
+   writes one object and reads the other, transactionally, under an
+   optional fault plan. *)
+let mk_step_tm ?(faults = []) (module T : Tm_intf.S_step) ~engine ~trace () =
   let m = Machine.create ~trace ~engine ~nprocs:2 () in
   let module R = Runner.Make_step (T) in
   let ctx = R.init m ~nobjs:2 in
+  Machine.set_faults m faults;
   for pid = 0 to 1 do
     Machine.spawn_step m pid
       (Sm.bind
@@ -60,10 +62,11 @@ let mk_step_tm (module T : Tm_intf.S_step) ~engine ~trace () =
   m
 
 (* The same workload through the derived direct-style module, on fibers. *)
-let mk_direct_tm (module T : Tm_intf.S) ~trace () =
+let mk_direct_tm ?(faults = []) (module T : Tm_intf.S) ~trace () =
   let m = Machine.create ~trace ~nprocs:2 () in
   let module R = Runner.Make (T) in
   let ctx = R.init m ~nobjs:2 in
+  Machine.set_faults m faults;
   for pid = 0 to 1 do
     Machine.spawn m pid (fun () ->
         ignore
@@ -74,12 +77,15 @@ let mk_direct_tm (module T : Tm_intf.S) ~trace () =
   done;
   m
 
-let schedules =
-  ("round-robin", fun m -> Sched.round_robin m)
+let bounded_schedules ?max_steps () =
+  ("round-robin", fun m -> Sched.round_robin ?max_steps m)
   :: List.map
        (fun seed ->
-         (Printf.sprintf "random seed %d" seed, fun m -> Sched.random ~seed m))
+         ( Printf.sprintf "random seed %d" seed,
+           fun m -> Sched.random ~seed ?max_steps m ))
        [ 1; 7; 42 ]
+
+let schedules = bounded_schedules ()
 
 (* ------------------------------------------------------------------ *)
 (* Engine differentials                                                *)
@@ -103,6 +109,18 @@ let test_fixture_differential () =
         schedules)
     Ptm_tms.Registry.stepwise
 
+(* Fault plans for the step/direct runner differential: injected aborts
+   of a write and of a commit (the runners' [fault_abort] paths) and a
+   crash, which can leave a lock-based TM's survivor spinning — so every
+   run is bounded, and a budget trip is part of the fingerprint. *)
+let fault_plans =
+  [
+    ("no faults", []);
+    ("abort p0 op0", [ Fault.abort ~pid:0 ~op:0 ]);
+    ("abort p1 op2", [ Fault.abort ~pid:1 ~op:2 ]);
+    ("crash p0@3", [ Fault.crash ~pid:0 ~at:3 ]);
+  ]
+
 let test_step_vs_direct () =
   List.iter
     (fun ((module T : Tm_intf.S_step) as tm) ->
@@ -110,19 +128,30 @@ let test_step_vs_direct () =
       | None -> Alcotest.failf "no direct-style %s in the registry" T.name
       | Some direct ->
           List.iter
-            (fun (sname, sched) ->
-              let fp mk =
-                let m = mk () in
-                sched m;
-                Machine.check_crashes m;
-                fingerprint ~nprocs:2 m
-              in
-              Alcotest.(check bool)
-                (T.name ^ " under " ^ sname ^ ": step form == direct form")
-                true
-                (fp (mk_step_tm tm ~engine:Machine.Fibers ~trace:Trace.Full)
-                = fp (mk_direct_tm direct ~trace:Trace.Full)))
-            schedules)
+            (fun (fname, faults) ->
+              List.iter
+                (fun (sname, sched) ->
+                  let fp mk =
+                    let m = mk () in
+                    let tripped =
+                      try
+                        sched m;
+                        false
+                      with Sched.Out_of_steps -> true
+                    in
+                    Machine.check_crashes m;
+                    (tripped, fingerprint ~nprocs:2 m)
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s under %s, %s: step form == direct form"
+                       T.name sname fname)
+                    true
+                    (fp
+                       (mk_step_tm ~faults tm ~engine:Machine.Fibers
+                          ~trace:Trace.Full)
+                    = fp (mk_direct_tm ~faults direct ~trace:Trace.Full)))
+                (bounded_schedules ~max_steps:2_000 ()))
+            fault_plans)
     Ptm_tms.Registry.stepwise
 
 let test_explore_differential () =

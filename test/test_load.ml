@@ -124,21 +124,47 @@ let test_rmr_does_not_perturb () =
         (List.length off.Load.rmr))
     [ "norec"; "norec.x4"; "ofree" ]
 
+(* A contended sharded cell on which a sharded protocol whose stable-window
+   read checks the fence even after the seqlock has moved takes a
+   different execution. *)
+let contended_x4 =
+  {
+    base with
+    Load.clients = 8;
+    nprocs = 4;
+    nobjs = 16;
+    txs_per_client = 20;
+    mix =
+      { base.Load.mix with Load.dist = Workload.Zipf 0.9; write_ratio = 0.8 };
+    seed = 3;
+    retries = 8;
+  }
+
 let test_rmr_pinned_totals () =
-  (* exact totals of two fixed cells, recorded with the list-of-holders
-     simulators; ofree allocates cells while it runs, so the online
+  (* exact totals of fixed cells, recorded with the list-of-holders
+     simulators (the contended x4 cells with the direct-style sharded
+     protocol); ofree allocates cells while it runs, so the online
      accountant sees addresses that did not exist when it was created *)
   List.iter
-    (fun (tm_name, expected) ->
+    (fun (tm_name, cfg, expected) ->
       let (module T) = Option.get (Ptm_tms.Registry.by_name tm_name) in
       let r =
         Load.run (module T)
-          { base with Load.rmr_models = Ptm_machine.Rmr.all_models }
+          { cfg with Load.rmr_models = Ptm_machine.Rmr.all_models }
       in
       Alcotest.(check (list (pair string int))) tm_name expected r.Load.rmr)
     [
-      ("norec.x4", [ ("CC/WT", 1392); ("CC/WB", 1024); ("DSM", 6775) ]);
-      ("ofree", [ ("CC/WT", 1083); ("CC/WB", 993); ("DSM", 3724) ]);
+      ("norec.x4", base, [ ("CC/WT", 1392); ("CC/WB", 1024); ("DSM", 6775) ]);
+      ("ofree", base, [ ("CC/WT", 1083); ("CC/WB", 993); ("DSM", 3724) ]);
+      ( "norec.x4",
+        contended_x4,
+        [ ("CC/WT", 4212); ("CC/WB", 3262); ("DSM", 14405) ] );
+      ( "sgl.x4",
+        contended_x4,
+        [ ("CC/WT", 5736); ("CC/WB", 4135); ("DSM", 14833) ] );
+      ( "ofree.x4",
+        contended_x4,
+        [ ("CC/WT", 3943); ("CC/WB", 3382); ("DSM", 17460) ] );
     ]
 
 let test_crash_under_load () =

@@ -303,6 +303,214 @@ let test_step_vs_direct () =
     Ptm_tms.Registry.sharded_stepwise
 
 (* ------------------------------------------------------------------ *)
+(* Twins: direct [Make] vs step [Make_step] under the load engine       *)
+(* ------------------------------------------------------------------ *)
+
+(* TL2 as it was written before its step-form port, kept verbatim as the
+   reference the port is pinned against. *)
+module Tl2_direct = struct
+  module Orec = Ptm_tms.Orec
+
+  let name = "tl2"
+  let props = Ptm_tms.Tl2.props
+
+  type t = {
+    clock : Memory.addr;
+    orecs : Memory.addr array;
+    data : Memory.addr array;
+  }
+
+  let create machine ~nobjs =
+    {
+      clock = Machine.alloc machine ~name:"tl2.clock" (Value.Int 0);
+      orecs =
+        Orec.alloc_array machine ~prefix:"tl2.orec" ~nobjs
+          ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
+      data =
+        Orec.alloc_array machine ~prefix:"tl2.data" ~nobjs
+          ~init:(Value.Int Tm_intf.init_value);
+    }
+
+  type tx = {
+    id : int;
+    mutable rv : int;
+    mutable rset : (int * int) list;
+    mutable wbuf : (int * int) list;
+  }
+
+  let fresh _t ~pid:_ ~id = { id; rv = -1; rset = []; wbuf = [] }
+
+  let ensure_rv t tx = if tx.rv < 0 then tx.rv <- Proc.read_int t.clock
+
+  let read t tx x =
+    match List.assoc_opt x tx.wbuf with
+    | Some v -> Ok v
+    | None -> (
+        match List.assoc_opt x tx.rset with
+        | Some v -> Ok v
+        | None ->
+            ensure_rv t tx;
+            let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
+            if owner <> Orec.none || ver > tx.rv then Error `Abort
+            else
+              let v = Value.to_int (Proc.read t.data.(x)) in
+              let ver2, owner2 = Orec.unpack (Proc.read t.orecs.(x)) in
+              if ver2 <> ver || owner2 <> Orec.none then Error `Abort
+              else begin
+                tx.rset <- (x, v) :: tx.rset;
+                Ok v
+              end)
+
+  let write t tx x v =
+    ensure_rv t tx;
+    tx.wbuf <- (x, v) :: tx.wbuf;
+    Ok ()
+
+  let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
+
+  let release t held =
+    List.iter
+      (fun (x, ver) ->
+        Proc.write t.orecs.(x) (Orec.pack ~ver ~owner:Orec.none))
+      held
+
+  let try_commit t tx =
+    if tx.wbuf = [] then Ok ()
+    else begin
+      let rec acquire held = function
+        | [] -> Ok held
+        | x :: rest ->
+            let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
+            if owner <> Orec.none || ver > tx.rv then Error held
+            else if
+              Proc.cas t.orecs.(x)
+                ~expected:(Orec.pack ~ver ~owner:Orec.none)
+                ~desired:(Orec.pack ~ver ~owner:tx.id)
+            then acquire ((x, ver) :: held) rest
+            else Error held
+      in
+      match acquire [] (wset tx) with
+      | Error held ->
+          release t held;
+          Error `Abort
+      | Ok held ->
+          let wv = 1 + Proc.faa t.clock 1 in
+          let rset_ok =
+            List.for_all
+              (fun (x, _) ->
+                if List.mem_assoc x held then true
+                else
+                  let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
+                  owner = Orec.none && ver <= tx.rv)
+              tx.rset
+          in
+          if not rset_ok then begin
+            release t held;
+            Error `Abort
+          end
+          else begin
+            List.iter
+              (fun (x, _) ->
+                match List.assoc_opt x tx.wbuf with
+                | Some v -> Proc.write t.data.(x) (Value.Int v)
+                | None -> ())
+              held;
+            List.iter
+              (fun (x, _) ->
+                Proc.write t.orecs.(x) (Orec.pack ~ver:wv ~owner:Orec.none))
+              held;
+            Ok ()
+          end
+    end
+end
+
+module X4 = struct
+  let shards = 4
+end
+
+(* Small contended load cells: clients {8,16,64} x objects {4,8,16,32} x
+   seeds 1-5 on 4 processes, zipf(0.9) keys, 80% writes, every RMR model
+   on. *)
+let twin_configs =
+  List.concat_map
+    (fun clients ->
+      List.concat_map
+        (fun nobjs ->
+          List.map
+            (fun seed ->
+              {
+                Load.default_config with
+                Load.clients;
+                nprocs = 4;
+                nobjs;
+                txs_per_client = 20;
+                mix =
+                  {
+                    Load.default_config.Load.mix with
+                    Load.dist = Workload.Zipf 0.9;
+                    write_ratio = 0.8;
+                  };
+                seed;
+                retries = 8;
+                rmr_models = Rmr.all_models;
+              })
+            [ 1; 2; 3; 4; 5 ])
+        [ 4; 8; 16; 32 ])
+    [ 8; 16; 64 ]
+
+let load_key (r : Load.result) =
+  (r.Load.committed, r.Load.aborted, r.Load.failed, r.Load.steps,
+   r.Load.wasted, r.Load.rmr)
+
+(* Number of [twin_configs] on which the two TMs' load runs differ. *)
+let load_mismatches a b =
+  List.length
+    (List.filter
+       (fun cfg -> load_key (Load.run a cfg) <> load_key (Load.run b cfg))
+       twin_configs)
+
+let test_load_twins () =
+  let pair (module D : Tm_intf.S) (module S : Tm_intf.S_step) =
+    let module Step = Tm_intf.Of_step (Ptm_tms.Sharded.Make_step (X4) (S)) in
+    let module Direct = Ptm_tms.Sharded.Make (X4) (D) in
+    (Step.name, load_mismatches (module Direct) (module Step))
+  in
+  let counts =
+    [
+      pair (module Ptm_tms.Norec) (module Ptm_tms.Norec.Stepwise);
+      pair (module Tl2_direct) (module Ptm_tms.Tl2.Stepwise);
+      pair (module Ptm_tms.Undolog) (module Ptm_tms.Undolog.Stepwise);
+      pair (module Ptm_tms.Sgl) (module Ptm_tms.Sgl.Stepwise);
+      pair (module Ptm_tms.Ofree) (module Ptm_tms.Ofree.Stepwise);
+    ]
+  in
+  Alcotest.(check (list (pair string int)))
+    (Printf.sprintf "configs differing, of %d per TM"
+       (List.length twin_configs))
+    (List.map (fun (name, _) -> (name, 0)) counts)
+    counts
+
+let test_tl2_port () =
+  Alcotest.(check int)
+    "tl2: load configs differing" 0
+    (load_mismatches (module Tl2_direct) (module Ptm_tms.Tl2));
+  List.iter
+    (fun seed ->
+      let w =
+        Workload.random ~seed ~nprocs:3 ~nobjs:4 ~txs_per_proc:3 ~ops_per_tx:4
+          ~dist:(Workload.Zipf 0.9) ~write_ratio:0.6 ()
+      in
+      let go tm =
+        outcome_fp
+          (Runner.run tm ~retries:2 ~schedule:(Runner.Random_sched seed) w)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "tl2 seed %d: trace-identical" seed)
+        true
+        (go (module Tl2_direct) = go (module Ptm_tms.Tl2)))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: random mixes + fault plans, opacity-clean on both engines    *)
 (* ------------------------------------------------------------------ *)
 
@@ -403,5 +611,12 @@ let () =
             test_step_engines_bit_identical;
           Alcotest.test_case "step form == direct form" `Quick
             test_step_vs_direct;
+        ] );
+      ( "twins",
+        [
+          Alcotest.test_case "load: Make == Make_step (all x4)" `Quick
+            test_load_twins;
+          Alcotest.test_case "load: old direct tl2 == Tl2.Stepwise" `Quick
+            test_tl2_port;
         ] );
     ]
