@@ -29,22 +29,26 @@ let ofree_with_cm (kind : Ptm_core.Cm.kind) : Ptm_core.Tm_intf.tm =
   | Ptm_core.Cm.Polite -> (module Ofree.Polite)
   | Ptm_core.Cm.Timestamp -> (module Ofree.Timestamp)
 
-(* The sharded family: the load engine's throughput play. Four shards is
-   the default registry instantiation ("norec.x4" etc.); other widths are
-   built on demand via [Sharded.Make] (the CLI's --shards flag). *)
+(* The sharded family: the load engine's throughput play, authored once in
+   step form at four shards ("norec.x4" etc.); the direct-style list is
+   derived from it. Other widths are built with [Sharded.Make]. *)
 module X4 = struct
   let shards = 4
 end
 
-module Norec_x4 = Sharded.Make (X4) (Norec)
-module Tl2_x4 = Sharded.Make (X4) (Tl2)
-module Undolog_x4 = Sharded.Make (X4) (Undolog)
-module Sgl_x4 = Sharded.Make (X4) (Sgl)
-module Ofree_x4 = Sharded.Make (X4) (Ofree)
+let sharded_stepwise : Ptm_core.Tm_intf.tm_step list =
+  List.map
+    (fun (module T : Ptm_core.Tm_intf.S_step) ->
+      (module Sharded.Make (X4) (T) : Ptm_core.Tm_intf.S_step))
+    [ (module Norec.Stepwise); (module Tl2.Stepwise);
+      (module Undolog.Stepwise); (module Sgl.Stepwise);
+      (module Ofree.Stepwise) ]
 
 let sharded : Ptm_core.Tm_intf.tm list =
-  [ (module Norec_x4); (module Tl2_x4); (module Undolog_x4);
-    (module Sgl_x4); (module Ofree_x4) ]
+  List.map
+    (fun (module T : Ptm_core.Tm_intf.S_step) ->
+      (module Ptm_core.Tm_intf.Of_step (T) : Ptm_core.Tm_intf.S))
+    sharded_stepwise
 
 let by_name n =
   List.find_opt
@@ -66,16 +70,6 @@ let ofree_with_cm_step (kind : Ptm_core.Cm.kind) : Ptm_core.Tm_intf.tm_step =
   | Ptm_core.Cm.Aggressive -> (module Ofree.Stepwise_aggressive)
   | Ptm_core.Cm.Polite -> (module Ofree.Stepwise_polite)
   | Ptm_core.Cm.Timestamp -> (module Ofree.Stepwise_timestamp)
-
-module Norec_x4_step = Sharded.Make_step (X4) (Norec.Stepwise)
-module Tl2_x4_step = Sharded.Make_step (X4) (Tl2.Stepwise)
-module Undolog_x4_step = Sharded.Make_step (X4) (Undolog.Stepwise)
-module Sgl_x4_step = Sharded.Make_step (X4) (Sgl.Stepwise)
-module Ofree_x4_step = Sharded.Make_step (X4) (Ofree.Stepwise)
-
-let sharded_stepwise : Ptm_core.Tm_intf.tm_step list =
-  [ (module Norec_x4_step); (module Tl2_x4_step); (module Undolog_x4_step);
-    (module Sgl_x4_step); (module Ofree_x4_step) ]
 
 let stepwise_by_name n =
   List.find_opt

@@ -14,10 +14,11 @@ val escape_class : Ptm_core.Tm_intf.tm list
 (** TMs escaping the Theorem 3 bound by violating one premise. *)
 
 val sharded : Ptm_core.Tm_intf.tm list
-(** The sharded multi-TM family ({!Sharded.Make} at 4 shards over NOrec,
-    TL2, undo-log, SGL and Ofree — names ["norec.x4"] etc.). Excluded from
-    {!all}: generic property tests assume the inner TMs' fine-grained
-    guarantees, which sharding deliberately forfeits (see {!Sharded}). *)
+(** The sharded multi-TM family in direct style (names ["norec.x4"]
+    etc.), derived from {!sharded_stepwise} with
+    {!Ptm_core.Tm_intf.Of_step}. Excluded from {!all}: generic property
+    tests assume the inner TMs' fine-grained guarantees, which sharding
+    deliberately forfeits (see {!Sharded}). *)
 
 val ofree_cms : Ptm_core.Tm_intf.tm list
 (** The obstruction-free family under every contention manager: ["ofree"]
@@ -43,8 +44,8 @@ val ofree_with_cm_step : Ptm_core.Cm.kind -> Ptm_core.Tm_intf.tm_step
 (** Step form of {!ofree_with_cm}. *)
 
 val sharded_stepwise : Ptm_core.Tm_intf.tm_step list
-(** Step-form sharded instantiations ({!Sharded.Make_step} at 4 shards
-    over the step-form NOrec, SGL and Ofree). *)
+(** The sharded family as authored: {!Sharded.Make} at 4 shards over the
+    step forms of NOrec, TL2, undo-log, SGL and Ofree. *)
 
 val stepwise_by_name : string -> Ptm_core.Tm_intf.tm_step option
 (** Looks up {!stepwise}, {!sharded_stepwise} and {!ofree_cms_stepwise}. *)

@@ -21,9 +21,9 @@ let ( let* ) = Sm.bind
      seqlock moves, the whole read cache is re-sampled and compared, and a
      changed value aborts the transaction (only a genuinely conflicting
      commit can cause this);
-   - try_commit of an updating transaction acquires the fences of exactly
-     the written shards in ascending order (deadlock-free), revalidates the
-     read cache under them, then publishes each shard's writes as a fresh
+   - try_commit of an updating transaction acquires the fences of every
+     shard it touched, written or read, in ascending order (deadlock-free),
+     revalidates the read cache under them, then publishes each shard's writes as a fresh
      write-only inner transaction (retried until the inner TM accepts it —
      under the fence only transient mini-reads can conflict), bumps the
      shard's seqlock {e before} releasing its fence, and releases.
@@ -35,6 +35,10 @@ let ( let* ) = Sm.bind
    acquisition, which such transactions never execute. With [shards = 1]
    the functor degenerates further: every operation passes straight through
    to the single inner instance, event for event.
+
+   Every operation is a step-machine program ({!Proc.Step}), so a sharded
+   TM runs on either machine backend; the registry derives the
+   direct-style form with [Tm_intf.Of_step].
 
    A crash while holding a fence starves later writers and readers of that
    shard (they spin in the stable-window loop) but can never expose a torn
@@ -54,7 +58,7 @@ end
    re-runs replay them) offset far above any outer id a run can reach. *)
 let sub_id_base = 1_000_000_000
 
-module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
+module Make (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
   let () = if C.shards < 1 then invalid_arg "Sharded.Make: shards must be >= 1"
 
   let name = Printf.sprintf "%s.x%d" T.name C.shards
@@ -143,13 +147,16 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
      aborted the attempt (the caller re-samples). An aborted inner handle
      has already released everything it held, so abandoning it is safe. *)
   let mini_read t ~pid s sx =
+    Sm.suspend @@ fun () ->
     let sub = T.fresh t.inner.(s) ~pid ~id:(next_sub t) in
-    match T.read t.inner.(s) sub sx with
-    | Error `Abort -> None
+    let* r = T.read t.inner.(s) sub sx in
+    match r with
+    | Error `Abort -> Sm.return None
     | Ok v -> (
-        match T.try_commit t.inner.(s) sub with
-        | Ok () -> Some v
-        | Error `Abort -> None)
+        let* c = T.try_commit t.inner.(s) sub in
+        match c with
+        | Ok () -> Sm.return (Some v)
+        | Error `Abort -> Sm.return None)
 
   (* A fence value is benign if clear or our own (we only read through our
      own fence during commit-time validation, when no rival writer can be
@@ -161,19 +168,23 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
      seqlock before releasing the fence, so a window closing clean proves
      the value was committed state for the whole window. *)
   let rec stable_read t ~pid x =
+    Sm.suspend @@ fun () ->
     let s = shard x in
-    if not (fence_ok ~pid (Proc.read_int t.fence.(s))) then
-      stable_read t ~pid x
+    let* f0 = Sm.read_int t.fence.(s) in
+    if not (fence_ok ~pid f0) then stable_read t ~pid x
     else
-      let q0 = Proc.read_int t.seq.(s) in
-      match mini_read t ~pid s (slot x) with
+      let* q0 = Sm.read_int t.seq.(s) in
+      let* r = mini_read t ~pid s (slot x) in
+      match r with
       | None -> stable_read t ~pid x
       | Some v ->
-          if
-            Proc.read_int t.seq.(s) = q0
-            && fence_ok ~pid (Proc.read_int t.fence.(s))
-          then (v, q0)
-          else stable_read t ~pid x
+          let* q1 = Sm.read_int t.seq.(s) in
+          (* no fence read once the seqlock has moved *)
+          if q1 <> q0 then stable_read t ~pid x
+          else
+            let* f1 = Sm.read_int t.fence.(s) in
+            if fence_ok ~pid f1 then Sm.return (v, q0)
+            else stable_read t ~pid x
 
   let touched tx =
     let acc = ref [] in
@@ -188,271 +199,6 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
      state at the end of the pass. A moved seqlock restarts the pass; a
      changed value is a real conflict and fails it. *)
   let rec revalidate t tx =
-    let pass = Array.make C.shards (-1) in
-    List.iter (fun s -> pass.(s) <- Proc.read_int t.seq.(s)) (touched tx);
-    let outcome =
-      Hashtbl.fold
-        (fun y v_old acc ->
-          match acc with
-          | `Fail | `Restart -> acc
-          | `Ok ->
-              let v', q' = stable_read t ~pid:tx.pid y in
-              if q' <> pass.(shard y) then `Restart
-              else if v' <> v_old then `Fail
-              else `Ok)
-        tx.rcache `Ok
-    in
-    match outcome with
-    | `Fail -> false
-    | `Restart -> revalidate t tx
-    | `Ok ->
-        if
-          List.for_all
-            (fun s -> Proc.read_int t.seq.(s) = pass.(s))
-            (touched tx)
-        then begin
-          List.iter (fun s -> tx.shard_seq.(s) <- pass.(s)) (touched tx);
-          true
-        end
-        else revalidate t tx
-
-  let read t tx x =
-    match tx.pass with
-    | Some sub -> T.read t.inner.(0) sub (slot x)
-    | None -> (
-        match Hashtbl.find_opt tx.wbuf x with
-        | Some v -> Ok v
-        | None -> (
-            match Hashtbl.find_opt tx.rcache x with
-            | Some v -> Ok v
-            | None ->
-                let v, q = stable_read t ~pid:tx.pid x in
-                let s = shard x in
-                let is_new = tx.shard_seq.(s) < 0 in
-                let moved =
-                  ((not is_new) && tx.shard_seq.(s) <> q)
-                  || List.exists
-                       (fun s' ->
-                         s' <> s
-                         && Proc.read_int t.seq.(s') <> tx.shard_seq.(s'))
-                       (touched tx)
-                in
-                Hashtbl.replace tx.rcache x v;
-                if is_new then tx.shard_seq.(s) <- q;
-                if (not moved) || revalidate t tx then Ok v
-                else Error `Abort))
-
-  let write t tx x v =
-    match tx.pass with
-    | Some sub -> T.write t.inner.(0) sub (slot x) v
-    | None ->
-        if not (Hashtbl.mem tx.wbuf x) then tx.worder <- x :: tx.worder;
-        Hashtbl.replace tx.wbuf x v;
-        Ok ()
-
-  let rec acquire t ~pid s =
-    if Proc.read_int t.fence.(s) <> 0 then acquire t ~pid s
-    else if
-      not
-        (Proc.cas t.fence.(s) ~expected:(Value.Int 0)
-           ~desired:(Value.int_ (pid + 1)))
-    then acquire t ~pid s
-
-  (* Publish one shard's buffered writes as a fresh write-only inner
-     transaction, retried until the inner TM accepts it: we hold the
-     shard's fence, so only transient mini-reads can conflict, and nothing
-     becomes visible until the inner try_commit lands. *)
-  let rec publish t ~pid s writes =
-    let sub = T.fresh t.inner.(s) ~pid ~id:(next_sub t) in
-    let rec go = function
-      | [] -> (
-          match T.try_commit t.inner.(s) sub with
-          | Ok () -> true
-          | Error `Abort -> false)
-      | (sx, v) :: rest -> (
-          match T.write t.inner.(s) sub sx v with
-          | Ok () -> go rest
-          | Error `Abort -> false)
-    in
-    if not (go writes) then publish t ~pid s writes
-
-  let try_commit t tx =
-    match tx.pass with
-    | Some sub -> T.try_commit t.inner.(0) sub
-    | None ->
-        if tx.worder = [] then Ok ()
-          (* read-only: the cache was validated as of the last t-read, a
-             legal serialization point inside the transaction's interval *)
-        else begin
-          let wshards =
-            List.sort_uniq compare (List.map shard tx.worder)
-          in
-          (* fence every touched shard, written or read, in ascending
-             order: ordered acquisition is deadlock-free, and with all
-             touched seqlocks frozen the revalidation below cannot race
-             (a commit-time mini-read only ever meets its own fence) *)
-          let fshards =
-            List.sort_uniq compare (wshards @ touched tx)
-          in
-          List.iter (acquire t ~pid:tx.pid) fshards;
-          if Hashtbl.length tx.rcache > 0 && not (revalidate t tx) then begin
-            List.iter
-              (fun s -> Proc.write t.fence.(s) (Value.Int 0))
-              fshards;
-            Error `Abort
-          end
-          else begin
-            List.iter
-              (fun s ->
-                let writes =
-                  List.rev tx.worder
-                  |> List.filter_map (fun x ->
-                         if shard x = s then
-                           Some (slot x, Hashtbl.find tx.wbuf x)
-                         else None)
-                in
-                publish t ~pid:tx.pid s writes;
-                ignore (Proc.faa t.seq.(s) 1 : int))
-              wshards;
-            List.iter
-              (fun s -> Proc.write t.fence.(s) (Value.Int 0))
-              fshards;
-            Ok ()
-          end
-        end
-end
-
-(* The step-form twin of [Make]: the same protocol with every operation a
-   step-machine program, so a sharded step TM runs on either machine
-   backend. Kept a line-by-line mirror of [Make] — when editing one, edit
-   both. *)
-module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
-  let () =
-    if C.shards < 1 then invalid_arg "Sharded.Make_step: shards must be >= 1"
-
-  let name = Printf.sprintf "%s.x%d" T.name C.shards
-
-  let props =
-    if C.shards = 1 then T.props
-    else
-      {
-        Ptm_core.Tm_intf.opaque = true;
-        weak_dap = false;
-        invisible_reads = false;
-        weak_invisible_reads = false;
-        progressive = false;
-        strongly_progressive = false;
-      }
-
-  type t = {
-    mem : Memory.t;
-    inner : T.t array;
-    fence : Memory.addr array;
-    seq : Memory.addr array;
-    sub_id : Memory.addr;
-  }
-
-  let shard x = x mod C.shards
-  let slot x = x / C.shards
-
-  let shard_size ~nobjs s =
-    if s >= nobjs then 0 else ((nobjs - s - 1) / C.shards) + 1
-
-  let create machine ~nobjs =
-    let inner =
-      Array.init C.shards (fun s ->
-          T.create machine ~nobjs:(shard_size ~nobjs s))
-    in
-    if C.shards = 1 then
-      (* full passthrough: allocate nothing of our own, so the machine —
-         run-time allocations of the inner TM included — is cell-for-cell
-         the one the bare TM would build *)
-      { mem = Machine.memory machine; inner; fence = [||]; seq = [||];
-        sub_id = -1 }
-    else
-      let fence =
-        Array.init C.shards (fun s ->
-            Machine.alloc machine
-              ~name:(Printf.sprintf "%s.fence[%d]" name s)
-              (Value.Int 0))
-      in
-      let seq =
-        Array.init C.shards (fun s ->
-            Machine.alloc machine
-              ~name:(Printf.sprintf "%s.seq[%d]" name s)
-              (Value.Int 0))
-      in
-      let sub_id =
-        Machine.alloc machine ~name:(name ^ ".sub_id") (Value.Int 0)
-      in
-      { mem = Machine.memory machine; inner; fence; seq; sub_id }
-
-  type tx = {
-    pid : int;
-    pass : T.tx option;
-    rcache : (int, int) Hashtbl.t;
-    wbuf : (int, int) Hashtbl.t;
-    mutable worder : int list;
-    shard_seq : int array;
-  }
-
-  let fresh t ~pid ~id =
-    {
-      pid;
-      pass = (if C.shards = 1 then Some (T.fresh t.inner.(0) ~pid ~id) else None);
-      rcache = Hashtbl.create 8;
-      wbuf = Hashtbl.create 8;
-      worder = [];
-      shard_seq = Array.make C.shards (-1);
-    }
-
-  let next_sub t =
-    let n = Value.to_int (Memory.peek t.mem t.sub_id) in
-    Memory.poke t.mem t.sub_id (Value.int_ (n + 1));
-    sub_id_base + n
-
-  let mini_read t ~pid s sx =
-    Sm.suspend @@ fun () ->
-    let sub = T.fresh t.inner.(s) ~pid ~id:(next_sub t) in
-    let* r = T.read t.inner.(s) sub sx in
-    match r with
-    | Error `Abort -> Sm.return None
-    | Ok v -> (
-        let* c = T.try_commit t.inner.(s) sub in
-        match c with
-        | Ok () -> Sm.return (Some v)
-        | Error `Abort -> Sm.return None)
-
-  let fence_ok ~pid f = f = 0 || f = pid + 1
-
-  let rec stable_read t ~pid x =
-    Sm.suspend @@ fun () ->
-    let s = shard x in
-    let* f0 = Sm.read_int t.fence.(s) in
-    if not (fence_ok ~pid f0) then stable_read t ~pid x
-    else
-      let* q0 = Sm.read_int t.seq.(s) in
-      let* r = mini_read t ~pid s (slot x) in
-      match r with
-      | None -> stable_read t ~pid x
-      | Some v ->
-          let* q1 = Sm.read_int t.seq.(s) in
-          (* short-circuits like the direct form's (&&): no fence read
-             once the seqlock has moved *)
-          if q1 <> q0 then stable_read t ~pid x
-          else
-            let* f1 = Sm.read_int t.fence.(s) in
-            if fence_ok ~pid f1 then Sm.return (v, q0)
-            else stable_read t ~pid x
-
-  let touched tx =
-    let acc = ref [] in
-    for s = C.shards - 1 downto 0 do
-      if tx.shard_seq.(s) >= 0 then acc := s :: !acc
-    done;
-    !acc
-
-  let rec revalidate t tx =
     Sm.suspend @@ fun () ->
     let pass = Array.make C.shards (-1) in
     let* () =
@@ -464,8 +210,8 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
         (touched tx)
     in
     let entries =
-      (* reversed: [fold] prepends, and the direct form samples in fold
-         order — the mirror must issue the same event sequence *)
+      (* sampled in [Hashtbl.fold] order: the list built by [fold]
+         prepends, so reverse it *)
       List.rev (Hashtbl.fold (fun y v acc -> (y, v) :: acc) tx.rcache [])
     in
     let rec check = function
@@ -517,8 +263,8 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
                         if q' <> tx.shard_seq.(s') then Sm.return true
                         else any_moved rest
                 in
-                (* short-circuits exactly like the direct form's (||): no
-                   seqlock reads once the own-shard check already moved *)
+                (* no seqlock reads once the own-shard check already
+                   moved *)
                 let* moved =
                   if (not is_new) && tx.shard_seq.(s) <> q then Sm.return true
                   else any_moved (touched tx)
@@ -550,6 +296,10 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
       in
       if won then Sm.return () else acquire t ~pid s
 
+  (* Publish one shard's buffered writes as a fresh write-only inner
+     transaction, retried until the inner TM accepts it: we hold the
+     shard's fence, so only transient mini-reads can conflict, and nothing
+     becomes visible until the inner try_commit lands. *)
   let rec publish t ~pid s writes =
     Sm.suspend @@ fun () ->
     let sub = T.fresh t.inner.(s) ~pid ~id:(next_sub t) in
@@ -574,8 +324,14 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
     | Some sub -> T.try_commit t.inner.(0) sub
     | None ->
         if tx.worder = [] then Sm.return (Ok ())
+          (* read-only: the cache was validated as of the last t-read, a
+             legal serialization point inside the transaction's interval *)
         else begin
           let wshards = List.sort_uniq compare (List.map shard tx.worder) in
+          (* fence every touched shard, written or read, in ascending
+             order: ordered acquisition is deadlock-free, and with all
+             touched seqlocks frozen the revalidation below cannot race
+             (a commit-time mini-read only ever meets its own fence) *)
           let fshards =
             List.sort_uniq compare (wshards @ touched tx)
           in

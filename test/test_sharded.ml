@@ -1,12 +1,13 @@
 (* The sharded multi-TM family. Pins, in order: the [shards = 1]
    degenerate case is operation-for-operation identical to the inner TM
-   (registry-wide, full-trace equality); single-shard transactions take
+   (every step-form registry TM, full-trace equality on both engines);
+   single-shard transactions take
    the fast path (a read-only commit emits zero coordination events, a
    one-shard writer touches exactly one fence); genuinely cross-shard
    commits are opacity-clean under the streaming monitor (every sharded
    registry TM, and — via QCheck — random mixes and fault plans on both
-   machine engines); and the step-form instantiations are bit-identical
-   across engines and event-identical to their direct twins. *)
+   machine engines); and the sharded registry TMs are bit-identical across
+   engines. *)
 
 open Ptm_machine
 open Ptm_core
@@ -19,33 +20,6 @@ let of_q t = QCheck_alcotest.to_alcotest t
 module X1 = struct
   let shards = 1
 end
-
-(* ------------------------------------------------------------------ *)
-(* shards = 1: full passthrough                                        *)
-(* ------------------------------------------------------------------ *)
-
-let outcome_fp (o : Runner.outcome) =
-  ( Trace.entries (Machine.trace o.Runner.machine),
-    o.Runner.commits,
-    o.Runner.aborts )
-
-let test_shards1_passthrough () =
-  let w =
-    Workload.random ~seed:21 ~nprocs:3 ~nobjs:6 ~txs_per_proc:3 ~ops_per_tx:4
-      ()
-  in
-  List.iter
-    (fun (module T : Tm_intf.S) ->
-      let module S1 = Ptm_tms.Sharded.Make (X1) (T) in
-      let go tm =
-        outcome_fp
-          (Runner.run tm ~retries:2 ~schedule:(Runner.Random_sched 5) w)
-      in
-      Alcotest.(check bool)
-        (T.name ^ ": x1 wrapper trace-identical to the bare TM")
-        true
-        (go (module T) = go (module S1)))
-    Ptm_tms.Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Fast paths: coordination cells touched only when necessary           *)
@@ -176,7 +150,7 @@ let test_cross_shard_opacity () =
     Ptm_tms.Registry.sharded
 
 (* ------------------------------------------------------------------ *)
-(* Step-form instantiations: engines and forms agree                    *)
+(* Engines agree; shards = 1 is a full passthrough                      *)
 (* ------------------------------------------------------------------ *)
 
 let status_tag m pid =
@@ -232,36 +206,6 @@ let mk_step_run (module T : Tm_intf.S_step) ?observer ?(faults = []) ~engine
     w.Workload.procs;
   m
 
-let mk_direct_run (module T : Tm_intf.S) (w : Workload.t) =
-  let nprocs = nprocs_of w in
-  let m = Machine.create ~nprocs () in
-  let module R = Runner.Make (T) in
-  let ctx = R.init m ~nobjs:w.Workload.nobjs in
-  Array.iteri
-    (fun pid txs ->
-      Machine.spawn m pid (fun () ->
-          List.iter
-            (fun ops ->
-              let (_ : (unit, Tm_intf.abort) result) =
-                R.atomically ctx ~pid ~retries:2 (fun tx ->
-                    List.fold_left
-                      (fun acc op ->
-                        match acc with
-                        | Error `Abort -> acc
-                        | Ok () -> (
-                            match op with
-                            | Workload.R x ->
-                                Result.map
-                                  (fun (_ : int) -> ())
-                                  (R.read ctx tx x)
-                            | Workload.W (x, v) -> R.write ctx tx x v))
-                      (Ok ()) ops)
-              in
-              ())
-            txs))
-    w.Workload.procs;
-  m
-
 let cross_shard_w =
   Workload.bank ~nprocs:3 ~naccounts:8 ~transfers_per_proc:3 ~seed:17
 
@@ -283,232 +227,30 @@ let test_step_engines_bit_identical () =
         [ 1; 7; 42 ])
     Ptm_tms.Registry.sharded_stepwise
 
-let test_step_vs_direct () =
+(* [shards = 1] is a full passthrough: on both engines, the x1 wrapper of
+   every step-form registry TM is trace-identical to the bare TM. *)
+let test_shards1_passthrough () =
+  let w =
+    Workload.random ~seed:21 ~nprocs:3 ~nobjs:6 ~txs_per_proc:3 ~ops_per_tx:4
+      ()
+  in
   List.iter
     (fun ((module T : Tm_intf.S_step) as tm) ->
-      match Ptm_tms.Registry.by_name T.name with
-      | None -> Alcotest.failf "no direct-style %s in the registry" T.name
-      | Some direct ->
-          let fp mk =
-            let m = mk () in
-            Sched.random ~seed:7 m;
+      let module S1 = Ptm_tms.Sharded.Make (X1) (T) in
+      List.iter
+        (fun engine ->
+          let go tm =
+            let m = mk_step_run tm ~engine w in
+            Sched.random ~seed:5 m;
             Machine.check_crashes m;
-            fingerprint ~nprocs:(nprocs_of cross_shard_w) m
+            fingerprint ~nprocs:(nprocs_of w) m
           in
           Alcotest.(check bool)
-            (T.name ^ ": step form == direct form")
+            (T.name ^ ": x1 wrapper trace-identical to the bare TM")
             true
-            (fp (fun () -> mk_step_run tm ~engine:Machine.Fibers cross_shard_w)
-            = fp (fun () -> mk_direct_run direct cross_shard_w)))
-    Ptm_tms.Registry.sharded_stepwise
-
-(* ------------------------------------------------------------------ *)
-(* Twins: direct [Make] vs step [Make_step] under the load engine       *)
-(* ------------------------------------------------------------------ *)
-
-(* TL2 as it was written before its step-form port, kept verbatim as the
-   reference the port is pinned against. *)
-module Tl2_direct = struct
-  module Orec = Ptm_tms.Orec
-
-  let name = "tl2"
-  let props = Ptm_tms.Tl2.props
-
-  type t = {
-    clock : Memory.addr;
-    orecs : Memory.addr array;
-    data : Memory.addr array;
-  }
-
-  let create machine ~nobjs =
-    {
-      clock = Machine.alloc machine ~name:"tl2.clock" (Value.Int 0);
-      orecs =
-        Orec.alloc_array machine ~prefix:"tl2.orec" ~nobjs
-          ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
-      data =
-        Orec.alloc_array machine ~prefix:"tl2.data" ~nobjs
-          ~init:(Value.Int Tm_intf.init_value);
-    }
-
-  type tx = {
-    id : int;
-    mutable rv : int;
-    mutable rset : (int * int) list;
-    mutable wbuf : (int * int) list;
-  }
-
-  let fresh _t ~pid:_ ~id = { id; rv = -1; rset = []; wbuf = [] }
-
-  let ensure_rv t tx = if tx.rv < 0 then tx.rv <- Proc.read_int t.clock
-
-  let read t tx x =
-    match List.assoc_opt x tx.wbuf with
-    | Some v -> Ok v
-    | None -> (
-        match List.assoc_opt x tx.rset with
-        | Some v -> Ok v
-        | None ->
-            ensure_rv t tx;
-            let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-            if owner <> Orec.none || ver > tx.rv then Error `Abort
-            else
-              let v = Value.to_int (Proc.read t.data.(x)) in
-              let ver2, owner2 = Orec.unpack (Proc.read t.orecs.(x)) in
-              if ver2 <> ver || owner2 <> Orec.none then Error `Abort
-              else begin
-                tx.rset <- (x, v) :: tx.rset;
-                Ok v
-              end)
-
-  let write t tx x v =
-    ensure_rv t tx;
-    tx.wbuf <- (x, v) :: tx.wbuf;
-    Ok ()
-
-  let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
-
-  let release t held =
-    List.iter
-      (fun (x, ver) ->
-        Proc.write t.orecs.(x) (Orec.pack ~ver ~owner:Orec.none))
-      held
-
-  let try_commit t tx =
-    if tx.wbuf = [] then Ok ()
-    else begin
-      let rec acquire held = function
-        | [] -> Ok held
-        | x :: rest ->
-            let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-            if owner <> Orec.none || ver > tx.rv then Error held
-            else if
-              Proc.cas t.orecs.(x)
-                ~expected:(Orec.pack ~ver ~owner:Orec.none)
-                ~desired:(Orec.pack ~ver ~owner:tx.id)
-            then acquire ((x, ver) :: held) rest
-            else Error held
-      in
-      match acquire [] (wset tx) with
-      | Error held ->
-          release t held;
-          Error `Abort
-      | Ok held ->
-          let wv = 1 + Proc.faa t.clock 1 in
-          let rset_ok =
-            List.for_all
-              (fun (x, _) ->
-                if List.mem_assoc x held then true
-                else
-                  let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-                  owner = Orec.none && ver <= tx.rv)
-              tx.rset
-          in
-          if not rset_ok then begin
-            release t held;
-            Error `Abort
-          end
-          else begin
-            List.iter
-              (fun (x, _) ->
-                match List.assoc_opt x tx.wbuf with
-                | Some v -> Proc.write t.data.(x) (Value.Int v)
-                | None -> ())
-              held;
-            List.iter
-              (fun (x, _) ->
-                Proc.write t.orecs.(x) (Orec.pack ~ver:wv ~owner:Orec.none))
-              held;
-            Ok ()
-          end
-    end
-end
-
-module X4 = struct
-  let shards = 4
-end
-
-(* Small contended load cells: clients {8,16,64} x objects {4,8,16,32} x
-   seeds 1-5 on 4 processes, zipf(0.9) keys, 80% writes, every RMR model
-   on. *)
-let twin_configs =
-  List.concat_map
-    (fun clients ->
-      List.concat_map
-        (fun nobjs ->
-          List.map
-            (fun seed ->
-              {
-                Load.default_config with
-                Load.clients;
-                nprocs = 4;
-                nobjs;
-                txs_per_client = 20;
-                mix =
-                  {
-                    Load.default_config.Load.mix with
-                    Load.dist = Workload.Zipf 0.9;
-                    write_ratio = 0.8;
-                  };
-                seed;
-                retries = 8;
-                rmr_models = Rmr.all_models;
-              })
-            [ 1; 2; 3; 4; 5 ])
-        [ 4; 8; 16; 32 ])
-    [ 8; 16; 64 ]
-
-let load_key (r : Load.result) =
-  (r.Load.committed, r.Load.aborted, r.Load.failed, r.Load.steps,
-   r.Load.wasted, r.Load.rmr)
-
-(* Number of [twin_configs] on which the two TMs' load runs differ. *)
-let load_mismatches a b =
-  List.length
-    (List.filter
-       (fun cfg -> load_key (Load.run a cfg) <> load_key (Load.run b cfg))
-       twin_configs)
-
-let test_load_twins () =
-  let pair (module D : Tm_intf.S) (module S : Tm_intf.S_step) =
-    let module Step = Tm_intf.Of_step (Ptm_tms.Sharded.Make_step (X4) (S)) in
-    let module Direct = Ptm_tms.Sharded.Make (X4) (D) in
-    (Step.name, load_mismatches (module Direct) (module Step))
-  in
-  let counts =
-    [
-      pair (module Ptm_tms.Norec) (module Ptm_tms.Norec.Stepwise);
-      pair (module Tl2_direct) (module Ptm_tms.Tl2.Stepwise);
-      pair (module Ptm_tms.Undolog) (module Ptm_tms.Undolog.Stepwise);
-      pair (module Ptm_tms.Sgl) (module Ptm_tms.Sgl.Stepwise);
-      pair (module Ptm_tms.Ofree) (module Ptm_tms.Ofree.Stepwise);
-    ]
-  in
-  Alcotest.(check (list (pair string int)))
-    (Printf.sprintf "configs differing, of %d per TM"
-       (List.length twin_configs))
-    (List.map (fun (name, _) -> (name, 0)) counts)
-    counts
-
-let test_tl2_port () =
-  Alcotest.(check int)
-    "tl2: load configs differing" 0
-    (load_mismatches (module Tl2_direct) (module Ptm_tms.Tl2));
-  List.iter
-    (fun seed ->
-      let w =
-        Workload.random ~seed ~nprocs:3 ~nobjs:4 ~txs_per_proc:3 ~ops_per_tx:4
-          ~dist:(Workload.Zipf 0.9) ~write_ratio:0.6 ()
-      in
-      let go tm =
-        outcome_fp
-          (Runner.run tm ~retries:2 ~schedule:(Runner.Random_sched seed) w)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "tl2 seed %d: trace-identical" seed)
-        true
-        (go (module Tl2_direct) = go (module Ptm_tms.Tl2)))
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+            (go tm = go (module S1)))
+        [ Machine.Fibers; Machine.Steps ])
+    Ptm_tms.Registry.stepwise
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: random mixes + fault plans, opacity-clean on both engines    *)
@@ -609,14 +351,5 @@ let () =
         [
           Alcotest.test_case "Steps == Fibers" `Quick
             test_step_engines_bit_identical;
-          Alcotest.test_case "step form == direct form" `Quick
-            test_step_vs_direct;
-        ] );
-      ( "twins",
-        [
-          Alcotest.test_case "load: Make == Make_step (all x4)" `Quick
-            test_load_twins;
-          Alcotest.test_case "load: old direct tl2 == Tl2.Stepwise" `Quick
-            test_tl2_port;
         ] );
     ]
