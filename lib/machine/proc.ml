@@ -74,11 +74,16 @@ module Step = struct
 
   type 'a t = ('a -> outcome) -> outcome
 
-  let return x k = k x
-  let bind m f k = m (fun x -> f x k)
-  let map f m k = m (fun x -> k (f x))
+  (* [return], [bind], [map] and [suspend] take the continuation in a
+     separate closure ([(); fun k -> ...] stops the compiler merging it into
+     the function's arity). Programs apply them partially — every [let*]
+     builds [bind m f] — and a partial application of a function of full
+     arity allocates a chain of currying closures, one per argument. *)
+  let return x = (); fun k -> k x
+  let bind m f = (); fun k -> m (fun x -> f x k)
+  let map f m = (); fun k -> m (fun x -> k (f x))
   let ( let* ) = bind
-  let suspend f k = f () k
+  let suspend f = (); fun k -> f () k
   let apply addr prim k = Wants_mem ({ addr; prim }, k)
   let note n k = Wants_note (n, k)
   let pause k = Wants_pause k

@@ -60,9 +60,7 @@ module Stepwise = struct
       tx.rv <- c;
       Sm.return ()
 
-  let read_orec t x =
-    let* o = Sm.read t.orecs.(x) in
-    Sm.return (Orec.unpack o)
+  let read_orec t x = Sm.map Orec.unpack (Sm.read t.orecs.(x))
 
   let read t tx x =
     Sm.suspend @@ fun () ->
