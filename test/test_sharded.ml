@@ -1,13 +1,12 @@
-(* The sharded multi-TM family. Pins, in order: the [shards = 1]
-   degenerate case is operation-for-operation identical to the inner TM
-   (every step-form registry TM, full-trace equality on both engines);
-   single-shard transactions take
-   the fast path (a read-only commit emits zero coordination events, a
+(* The sharded multi-TM family. Pins: single-shard transactions take the
+   fast path (a read-only commit emits zero coordination events, a
    one-shard writer touches exactly one fence); genuinely cross-shard
    commits are opacity-clean under the streaming monitor (every sharded
    registry TM, and — via QCheck — random mixes and fault plans on both
-   machine engines); and the sharded registry TMs are bit-identical across
-   engines. *)
+   machine engines); the sharded registry TMs are bit-identical across
+   engines; and the [shards = 1] degenerate case is operation-for-operation
+   identical to the inner TM (every step-form registry TM, full-trace
+   equality on both engines). *)
 
 open Ptm_machine
 open Ptm_core
