@@ -181,7 +181,7 @@ let apply_commit st id =
         Some { st' with live }
       end
 
-(* Canonical key for deduplication: maps listified, applied order erased
+(* The old canonical key, kept to check [canon] against: maps listified, applied order erased
    (once linearized, only membership matters — the snapshots already carry
    the order), and version numbers renumbered canonically. The checker only
    ever compares versions ordinally, so the concrete integers a commit
@@ -227,19 +227,151 @@ let key st =
       (IMap.bindings st.live),
     List.sort compare st.applied )
 
+(* Canonical form for deduplication: maps compared as sets of bindings,
+   applied order erased (once linearized, only membership matters — the
+   snapshots already carry the order), and version numbers renumbered
+   canonically. The checker only ever compares versions ordinally, so the
+   concrete integers a commit order happened to assign are not observable:
+   below the live watermark every object's sole surviving entry acts as the
+   base snapshot (rank 0), and versions at or above it keep only their rank.
+   Without this, commits with disjoint write sets and overlapping commit
+   windows would yield one frontier state per application order forever
+   (the global version counter leaks the order) — with it, they collapse as
+   soon as the orders stop being distinguishable.
+
+   The renaming needs no table. Every snapshot index in (wm, nver] was
+   appended by a commit with a non-empty write set, and pruning only ever
+   drops entries at or below a watermark, which never decreases along a
+   state's history: so every such index survives in [hist], the versions
+   the form mentions at or above [wm] are exactly [wm..nver], and version
+   [v] ranks [v - wm + 1]. The form is never built either: [canon] computes
+   the watermark and a hash of the renamed state in one pass, allocating
+   nothing per object, and [canon_equal] compares two states in place,
+   each renamed by its own watermark. *)
+type canon = {
+  c_st : state;
+  c_wm : int;
+  c_applied : int list;  (* sorted *)
+  c_hash : int;
+}
+
+let rank wm v = if v < wm then 0 else v - wm + 1
+let mix h x = (h lxor x) * 0x100000001b3
+
+(* hash of the entries [prune_list wm] keeps: newest first, down to and
+   including the first one at or below the watermark *)
+let rec hash_pruned wm h = function
+  | [] -> h
+  | (ver, v) :: rest ->
+      let h = mix (mix h (rank wm ver)) v in
+      if ver > wm then hash_pruned wm h rest else h
+
+let rec hash_valid wm h = function
+  | [] -> h
+  | (lo, hi) :: rest ->
+      hash_valid wm
+        (mix (mix h (rank wm lo)) (if hi = open_hi then -1 else rank wm hi))
+        rest
+
+let hash_live wm id u h =
+  let h = mix (mix h id) (rank wm u.l_lo) in
+  let h = IMap.fold (fun x v h -> mix (mix h x) v) u.l_reads h in
+  let h = hash_valid wm h u.l_valid in
+  let h = IMap.fold (fun x v h -> mix (mix h (lnot x)) v) u.l_wbuf h in
+  if u.l_pending then mix h 1 else h
+
+let canon st =
+  let wm = IMap.fold (fun _ u m -> min m u.l_lo) st.live st.nver in
+  let applied =
+    match st.applied with
+    | ([] | [ _ ]) as l -> l
+    | l -> List.sort Int.compare l
+  in
+  let h = rank wm st.nver in
+  let h = IMap.fold (fun x l h -> hash_pruned wm (mix h x) l) st.hist h in
+  let h = IMap.fold (hash_live wm) st.live h in
+  let h = List.fold_left mix h applied in
+  { c_st = st; c_wm = wm; c_applied = applied; c_hash = h }
+
+let canon_equal a b =
+  let ra = rank a.c_wm and rb = rank b.c_wm in
+  let rec pruned_equal la lb =
+    match (la, lb) with
+    | [], [] -> true
+    | (va, xa) :: ta, (vb, xb) :: tb ->
+        xa = xb && ra va = rb vb && (va <= a.c_wm || pruned_equal ta tb)
+    | _ -> false
+  in
+  let rec valid_equal la lb =
+    match (la, lb) with
+    | [], [] -> true
+    | (loa, hia) :: ta, (lob, hib) :: tb ->
+        ra loa = rb lob
+        && (if hia = open_hi then hib = open_hi
+            else hib <> open_hi && ra hia = rb hib)
+        && valid_equal ta tb
+    | _ -> false
+  in
+  let live_equal u w =
+    u.l_pending = w.l_pending
+    && ra u.l_lo = rb w.l_lo
+    && valid_equal u.l_valid w.l_valid
+    && IMap.equal Int.equal u.l_reads w.l_reads
+    && IMap.equal Int.equal u.l_wbuf w.l_wbuf
+  in
+  let sa = a.c_st and sb = b.c_st in
+  ra sa.nver = rb sb.nver
+  && List.equal Int.equal a.c_applied b.c_applied
+  && IMap.equal pruned_equal sa.hist sb.hist
+  && IMap.equal live_equal sa.live sb.live
+
+module IHashtbl = Hashtbl.Make (Int)
+
+(* First-occurrence-wins seen-set of canonical forms, bucketed by hash:
+   [admit seen st] is true iff no state canon-equal to [st] was admitted
+   before, and then admits [st]. Differential: every admission also checks,
+   against every state admitted before it, that [canon_equal] agrees with
+   equality of the old keys and that equal keys hash equally. *)
+type seen = {
+  buckets : canon list IHashtbl.t;
+  mutable all : (Obj.t * canon) list;
+}
+
+let checked = ref 0
+
+let () =
+  if Sys.getenv_opt "OPACITY_CANON_CHECK" <> None then
+    at_exit (fun () ->
+        Printf.eprintf "opacity canon check: %d comparisons agreed\n%!"
+          !checked)
+
+let admit seen st =
+  let c = canon st in
+  let k = Obj.repr (key st) in
+  List.iter
+    (fun (k', c') ->
+      incr checked;
+      let keq = k = k' in
+      if canon_equal c c' <> keq then
+        failwith "Opacity_stream: canon_equal disagrees with key equality";
+      if keq && c.c_hash <> c'.c_hash then
+        failwith "Opacity_stream: equal keys with different hashes")
+    seen.all;
+  let bucket =
+    Option.value ~default:[] (IHashtbl.find_opt seen.buckets c.c_hash)
+  in
+  if List.exists (canon_equal c) bucket then false
+  else begin
+    IHashtbl.replace seen.buckets c.c_hash (c :: bucket);
+    seen.all <- (k, c) :: seen.all;
+    true
+  end
+
+let seen_create n = { buckets = IHashtbl.create n; all = [] }
+
 let dedup = function
   | ([] | [ _ ]) as sts -> sts
-  | sts ->
-      let seen = Hashtbl.create 8 in
-      List.filter
-        (fun st ->
-          let k = key st in
-          if Hashtbl.mem seen k then false
-          else begin
-            Hashtbl.add seen k ();
-            true
-          end)
-        sts
+  | sts -> List.filter (admit (seen_create 8)) sts
 
 let has_expandable ~except st =
   IMap.exists
@@ -251,12 +383,10 @@ let has_expandable ~except st =
 let expand ~except sts =
   if not (List.exists (has_expandable ~except) sts) then sts
   else begin
-    let seen = Hashtbl.create 16 in
+    let seen = seen_create 16 in
     let out = ref [] in
     let rec go st =
-      let k = key st in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
+      if admit seen st then begin
         out := st :: !out;
         IMap.iter
           (fun id l ->

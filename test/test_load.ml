@@ -224,6 +224,47 @@ let test_zipf_hot_mix () =
   | Some (Opacity_stream.Opaque | Opacity_stream.Inconclusive _) -> ()
   | None -> Alcotest.fail "zipf+hot mix: monitor not armed"
 
+(* The monitor's frontier, pinned on small full-sample cells: verdict and
+   checker stats as recorded before frontier deduplication stopped building
+   a key per state. An Inconclusive latch seq moves if any deduplication
+   decision changes, and so do the peaks. *)
+let test_frontier_pinned () =
+  let cfg =
+    {
+      Load.default_config with
+      Load.clients = 32;
+      nprocs = 4;
+      txs_per_client = 40;
+      sample = 1.0;
+    }
+  in
+  let inconclusive seq =
+    Printf.sprintf
+      "inconclusive: frontier exceeded 256 states at seq %d (pathological \
+       commit-window overlap)"
+      seq
+  in
+  List.iter
+    (fun (name, verdict, (events, snapshots, max_frontier, max_live, max_res))
+       ->
+      let (module T) = Option.get (Ptm_tms.Registry.by_name name) in
+      let r = Load.run (module T) cfg in
+      Alcotest.(check string)
+        (name ^ ": verdict") verdict
+        (Fmt.str "%a" Opacity_stream.pp_verdict (Option.get r.Load.verdict));
+      let s = Option.get r.Load.monitor_stats in
+      Alcotest.(check (list int))
+        (name ^ ": events, snapshots, max frontier/live/resident")
+        [ events; snapshots; max_frontier; max_live; max_res ]
+        Opacity_stream.
+          [ s.events; s.snapshots; s.max_frontier; s.max_live; s.max_resident ])
+    [
+      ("norec", inconclusive 13522, (3963, 292, 157, 4, 4160));
+      ("tl2", inconclusive 1085, (423, 21, 235, 4, 348));
+      ("norec.x4", inconclusive 12246, (973, 75, 171, 4, 1600));
+      ("ofree", "opaque", (20892, 1135, 56, 4, 1680));
+    ]
+
 let test_bad_configs () =
   let (module T) = Option.get (Ptm_tms.Registry.by_name "norec") in
   let expect name cfg =
@@ -256,6 +297,8 @@ let () =
           Alcotest.test_case "RMR totals pinned" `Quick test_rmr_pinned_totals;
           Alcotest.test_case "crash under load" `Quick test_crash_under_load;
           Alcotest.test_case "zipf + hotspot mix" `Quick test_zipf_hot_mix;
+          Alcotest.test_case "monitor frontier pinned" `Quick
+            test_frontier_pinned;
           Alcotest.test_case "config validation" `Quick test_bad_configs;
         ] );
     ]
