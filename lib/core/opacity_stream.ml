@@ -181,52 +181,6 @@ let apply_commit st id =
         Some { st' with live }
       end
 
-(* The old canonical key, kept to check [canon] against: maps listified, applied order erased
-   (once linearized, only membership matters — the snapshots already carry
-   the order), and version numbers renumbered canonically. The checker only
-   ever compares versions ordinally, so the concrete integers a commit
-   order happened to assign are not observable: below the live watermark
-   every object's sole surviving entry acts as the base snapshot (rank 0),
-   and versions at or above it keep only their rank. Without this, commits
-   with disjoint write sets and overlapping commit windows would yield one
-   frontier state per application order forever (the global version counter
-   leaks the order) — with it, they collapse as soon as the orders stop
-   being distinguishable. *)
-let key st =
-  let wm = IMap.fold (fun _ u m -> min m u.l_lo) st.live st.nver in
-  let hist = IMap.map (prune_list wm) st.hist in
-  let vs = ref [] in
-  let note v = if v >= wm then vs := v :: !vs in
-  note st.nver;
-  IMap.iter (fun _ l -> List.iter (fun (v, _) -> note v) l) hist;
-  IMap.iter
-    (fun _ u ->
-      note u.l_lo;
-      List.iter
-        (fun (lo, hi) ->
-          note lo;
-          if hi <> open_hi then note hi)
-        u.l_valid)
-    st.live;
-  let ranked = List.sort_uniq compare !vs in
-  let tbl = Hashtbl.create (2 * List.length ranked) in
-  List.iteri (fun i v -> Hashtbl.add tbl v (i + 1)) ranked;
-  let r v = if v >= wm then Hashtbl.find tbl v else 0 in
-  ( r st.nver,
-    IMap.bindings (IMap.map (List.map (fun (v, x) -> (r v, x))) hist),
-    List.map
-      (fun (id, l) ->
-        ( id,
-          r l.l_lo,
-          IMap.bindings l.l_reads,
-          List.map
-            (fun (lo, hi) -> (r lo, if hi = open_hi then open_hi else r hi))
-            l.l_valid,
-          IMap.bindings l.l_wbuf,
-          l.l_pending ))
-      (IMap.bindings st.live),
-    List.sort compare st.applied )
-
 (* Canonical form for deduplication: maps compared as sets of bindings,
    applied order erased (once linearized, only membership matters — the
    snapshots already carry the order), and version numbers renumbered
@@ -329,49 +283,19 @@ module IHashtbl = Hashtbl.Make (Int)
 
 (* First-occurrence-wins seen-set of canonical forms, bucketed by hash:
    [admit seen st] is true iff no state canon-equal to [st] was admitted
-   before, and then admits [st]. Differential: every admission also checks,
-   against every state admitted before it, that [canon_equal] agrees with
-   equality of the old keys and that equal keys hash equally. *)
-type seen = {
-  buckets : canon list IHashtbl.t;
-  mutable all : (Obj.t * canon) list;
-}
-
-let checked = ref 0
-
-let () =
-  if Sys.getenv_opt "OPACITY_CANON_CHECK" <> None then
-    at_exit (fun () ->
-        Printf.eprintf "opacity canon check: %d comparisons agreed\n%!"
-          !checked)
-
+   before, and then admits [st]. *)
 let admit seen st =
   let c = canon st in
-  let k = Obj.repr (key st) in
-  List.iter
-    (fun (k', c') ->
-      incr checked;
-      let keq = k = k' in
-      if canon_equal c c' <> keq then
-        failwith "Opacity_stream: canon_equal disagrees with key equality";
-      if keq && c.c_hash <> c'.c_hash then
-        failwith "Opacity_stream: equal keys with different hashes")
-    seen.all;
-  let bucket =
-    Option.value ~default:[] (IHashtbl.find_opt seen.buckets c.c_hash)
-  in
+  let bucket = Option.value ~default:[] (IHashtbl.find_opt seen c.c_hash) in
   if List.exists (canon_equal c) bucket then false
   else begin
-    IHashtbl.replace seen.buckets c.c_hash (c :: bucket);
-    seen.all <- (k, c) :: seen.all;
+    IHashtbl.replace seen c.c_hash (c :: bucket);
     true
   end
 
-let seen_create n = { buckets = IHashtbl.create n; all = [] }
-
 let dedup = function
   | ([] | [ _ ]) as sts -> sts
-  | sts -> List.filter (admit (seen_create 8)) sts
+  | sts -> List.filter (admit (IHashtbl.create 8)) sts
 
 let has_expandable ~except st =
   IMap.exists
@@ -383,7 +307,7 @@ let has_expandable ~except st =
 let expand ~except sts =
   if not (List.exists (has_expandable ~except) sts) then sts
   else begin
-    let seen = seen_create 16 in
+    let seen = IHashtbl.create 16 in
     let out = ref [] in
     let rec go st =
       if admit seen st then begin
