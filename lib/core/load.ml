@@ -268,6 +268,8 @@ let validate cfg =
     invalid_arg "Load: bad tx-length range";
   if cfg.sample < 0.0 || cfg.sample > 1.0 then
     invalid_arg "Load: sample must be within [0, 1]";
+  if cfg.monitor_frontier < 1 then
+    invalid_arg "Load: monitor_frontier must be >= 1";
   (match cfg.model with
   | Open_loop { period } -> if period < 0 then invalid_arg "Load: negative period"
   | Closed_loop { think } -> if think < 0 then invalid_arg "Load: negative think")

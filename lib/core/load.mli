@@ -102,6 +102,10 @@ val throughput : result -> float
 
 val pp_result : Format.formatter -> result -> unit
 
+val validate : config -> unit
+(** Raises [Invalid_argument] with a one-line message on a malformed config
+    (every check {!run} makes before it starts). *)
+
 val run : (module Tm_intf.S) -> config -> result
 (** Run one load cell to completion (every client out of transactions) or
     to the slot budget. Raises [Invalid_argument] on a malformed config;

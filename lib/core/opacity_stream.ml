@@ -198,10 +198,11 @@ let apply_commit st id =
    drops entries at or below a watermark, which never decreases along a
    state's history: so every such index survives in [hist], the versions
    the form mentions at or above [wm] are exactly [wm..nver], and version
-   [v] ranks [v - wm + 1]. The form is never built either: [canon] computes
-   the watermark and a hash of the renamed state in one pass, allocating
-   nothing per object, and [canon_equal] compares two states in place,
-   each renamed by its own watermark. *)
+   [v] ranks [v - wm + 1]. (Were an index ever missing, the shift would
+   only tell more states apart, never merge more.) The form is never built
+   either: [canon] computes the watermark and a hash of the renamed state
+   in one pass, allocating nothing per object, and [canon_equal] compares
+   two states in place, each renamed by its own watermark. *)
 type canon = {
   c_st : state;
   c_wm : int;
