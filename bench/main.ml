@@ -34,6 +34,8 @@
      dune exec bench/main.exe -- fast     # skip the Bechamel timing pass
      dune exec bench/main.exe -- e11      # only the explorer throughput pass
      dune exec bench/main.exe -- e11 quick  # CI perf-smoke (small time budget)
+     dune exec bench/main.exe -- paper    # only E1-E9, diffed against
+                                          # bench/paper.expected by dune runtest
 *)
 
 open Ptm_core
@@ -1783,6 +1785,17 @@ let bechamel_pass () =
       | _ -> Fmt.pr "%-32s (no estimate)@." name)
     (List.sort compare names)
 
+(* The paper-facing experiments: deterministic, no timing column, so their
+   output is a golden file ([paper.expected], checked by dune runtest). *)
+let paper () =
+  e1 ();
+  e2_e3 ();
+  e4 ();
+  e5_e6 ();
+  e7 ();
+  e8 ();
+  e9 ()
+
 let () =
   let arg a = Array.exists (fun x -> x = a) Sys.argv in
   let fast = arg "fast" in
@@ -1803,14 +1816,9 @@ let () =
     ignore (e18_load ~quick ())
   end
   else if arg "gate" then gate ~quick:true ()
+  else if arg "paper" then paper ()
   else begin
-    e1 ();
-    e2_e3 ();
-    e4 ();
-    e5_e6 ();
-    e7 ();
-    e8 ();
-    e9 ();
+    paper ();
     e10 ();
     let c11 = e11 ~quick () in
     e12 ~quick ();
