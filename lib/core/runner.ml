@@ -1,133 +1,116 @@
 open Ptm_machine
 
+(* The history instrumentation, as plain functions that emit no event of
+   their own: [Make] and [Make_step] below only sequence them, each in its
+   own program form.
+
+   The transaction-id counter lives in a machine cell accessed with
+   peek/poke (no events, so ids are free in the step model): a captured
+   [ref] would keep counting across explorer machine re-runs, whereas the
+   cell is restored with the rest of the machine, so every re-run hands
+   out the same ids as a fresh one. The per-pid t-operation counters are
+   cells for the same reason. *)
+type 'st ctx = {
+  state : 'st;
+  machine : Machine.t;
+  mem : Memory.t;
+  next_id : Memory.addr;
+  opix : Memory.addr array;  (* per-pid t-operation counter *)
+}
+
+let make_ctx machine state =
+  let next_id = Machine.alloc machine ~name:"runner.next_id" (Value.Int 0) in
+  let opix =
+    Array.init (Machine.nprocs machine) (fun i ->
+        Machine.alloc machine
+          ~name:(Printf.sprintf "runner.opix.p%d" i)
+          (Value.Int 0))
+  in
+  { state; machine; mem = Machine.memory machine; next_id; opix }
+
+type 'inner handle = { pid : int; id : int; inner : 'inner; mutable dead : bool }
+
+(* Post-increment a counter cell. *)
+let bump ctx cell =
+  let k = Value.to_int (Memory.peek ctx.mem cell) in
+  Memory.poke ctx.mem cell (Value.int_ (k + 1));
+  k
+
+let new_handle ctx ~pid fresh =
+  let id = bump ctx ctx.next_id in
+  { pid; id; inner = fresh ctx.state ~pid ~id; dead = false }
+
+(* Entry to a t-operation: a retired handle is rejected, then the
+   operation consumes one slot of its pid's op-index counter. The fault
+   layer's injected aborts are decided here, at the runner boundary: a due
+   [Fault.Abort] turns the operation into an abort response without
+   invoking the TM ([true]), and retires the handle exactly as a
+   TM-decided abort does. *)
+let injected ctx h =
+  if h.dead then invalid_arg "Runner: use of dead transaction";
+  Machine.abort_due ctx.machine h.pid ~op_index:(bump ctx ctx.opix.(h.pid))
+  && begin
+       h.dead <- true;
+       true
+     end
+
+let inv h op = History.Tx_inv { pid = h.pid; tx = h.id; op }
+
+(* An injected abort's notes: the invocation, the [Tx_injected_abort] mark
+   that tells the progress checkers the abort was fault-injected, and the
+   abort response. *)
+let injected_notes h op =
+  [
+    inv h op;
+    History.Tx_injected_abort { pid = h.pid; tx = h.id };
+    History.Tx_res { pid = h.pid; tx = h.id; op; res = History.RAbort };
+  ]
+
+(* The response note of the TM's outcome. An abort or a commit retires the
+   handle. *)
+let response h op res_of r =
+  let res = match r with Ok a -> res_of a | Error `Abort -> History.RAbort in
+  (match res with History.RAbort | History.RCommit -> h.dead <- true | _ -> ());
+  History.Tx_res { pid = h.pid; tx = h.id; op; res }
+
+let rval v = History.RVal v
+let rok () = History.ROk
+let rcommit () = History.RCommit
+
 module Make (T : Tm_intf.S) = struct
-  (* The transaction-id counter lives in a machine cell accessed with
-     peek/poke (no events, so ids are free in the step model): a captured
-     [ref] would keep counting across explorer machine re-runs, whereas the
-     cell is restored with the rest of the machine, so every re-run hands
-     out the same ids as a fresh one. *)
-  type ctx = {
-    state : T.t;
-    machine : Machine.t;
-    mem : Memory.t;
-    next_id : Memory.addr;
-    opix : Memory.addr array;  (* per-pid t-operation counter *)
-  }
+  type nonrec ctx = T.t ctx
 
-  let init machine ~nobjs =
-    let state = T.create machine ~nobjs in
-    let next_id = Machine.alloc machine ~name:"runner.next_id" (Value.Int 0) in
-    let opix =
-      Array.init (Machine.nprocs machine) (fun i ->
-          Machine.alloc machine
-            ~name:(Printf.sprintf "runner.opix.p%d" i)
-            (Value.Int 0))
-    in
-    { state; machine; mem = Machine.memory machine; next_id; opix }
-
+  let init machine ~nobjs = make_ctx machine (T.create machine ~nobjs)
   let tm_state ctx = ctx.state
 
-  type tx = { pid : int; id : int; inner : T.tx; mutable dead : bool }
+  type tx = T.tx handle
 
   let tx_id tx = tx.id
+  let begin_tx ctx ~pid = new_handle ctx ~pid T.fresh
 
-  let begin_tx ctx ~pid =
-    let id = Value.to_int (Memory.peek ctx.mem ctx.next_id) in
-    Memory.poke ctx.mem ctx.next_id (Value.int_ (id + 1));
-    { pid; id; inner = T.fresh ctx.state ~pid ~id; dead = false }
-
-  let guard tx = if tx.dead then invalid_arg "Runner: use of dead transaction"
-
-  (* The fault layer's injected aborts are decided here, at the runner
-     boundary, before the TM sees the operation: each t-operation consumes
-     one slot of its pid's op-index counter (a machine cell, so explorer
-     re-runs replay the same indices), and a due [Fault.Abort] turns the
-     operation into an abort response without invoking the TM. The handle is
-     abandoned exactly as after a TM-decided abort; the [Tx_injected_abort]
-     note marks the abort as fault-injected for the progress checkers. *)
-  let fault_abort ctx tx op =
-    let cell = ctx.opix.(tx.pid) in
-    let k = Value.to_int (Memory.peek ctx.mem cell) in
-    Memory.poke ctx.mem cell (Value.int_ (k + 1));
-    Machine.abort_due ctx.machine tx.pid ~op_index:k
-    && begin
-         tx.dead <- true;
-         Proc.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op });
-         Proc.note (History.Tx_injected_abort { pid = tx.pid; tx = tx.id });
-         Proc.note
-           (History.Tx_res
-              { pid = tx.pid; tx = tx.id; op; res = History.RAbort });
-         true
-       end
+  let instrument ctx tx op res_of run =
+    if injected ctx tx then begin
+      List.iter Proc.note (injected_notes tx op);
+      Error `Abort
+    end
+    else begin
+      Proc.note (inv tx op);
+      let r = run () in
+      Proc.note (response tx op res_of r);
+      r
+    end
 
   let read ctx tx x =
-    guard tx;
-    if fault_abort ctx tx (History.Read x) then Error `Abort
-    else begin
-    Proc.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Read x });
-    match T.read ctx.state tx.inner x with
-    | Ok v ->
-        Proc.note
-          (History.Tx_res
-             { pid = tx.pid; tx = tx.id; op = History.Read x; res = History.RVal v });
-        Ok v
-    | Error `Abort ->
-        tx.dead <- true;
-        Proc.note
-          (History.Tx_res
-             { pid = tx.pid; tx = tx.id; op = History.Read x; res = History.RAbort });
-        Error `Abort
-    end
+    instrument ctx tx (History.Read x) rval (fun () ->
+        T.read ctx.state tx.inner x)
 
   let write ctx tx x v =
-    guard tx;
-    if fault_abort ctx tx (History.Write (x, v)) then Error `Abort
-    else begin
-    Proc.note
-      (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Write (x, v) });
-    match T.write ctx.state tx.inner x v with
-    | Ok () ->
-        Proc.note
-          (History.Tx_res
-             {
-               pid = tx.pid;
-               tx = tx.id;
-               op = History.Write (x, v);
-               res = History.ROk;
-             });
-        Ok ()
-    | Error `Abort ->
-        tx.dead <- true;
-        Proc.note
-          (History.Tx_res
-             {
-               pid = tx.pid;
-               tx = tx.id;
-               op = History.Write (x, v);
-               res = History.RAbort;
-             });
-        Error `Abort
-    end
+    instrument ctx tx (History.Write (x, v)) rok (fun () ->
+        T.write ctx.state tx.inner x v)
 
   let commit ctx tx =
-    guard tx;
-    if fault_abort ctx tx History.Try_commit then Error `Abort
-    else begin
-    Proc.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Try_commit });
-    match T.try_commit ctx.state tx.inner with
-    | Ok () ->
-        tx.dead <- true;
-        Proc.note
-          (History.Tx_res
-             { pid = tx.pid; tx = tx.id; op = History.Try_commit; res = History.RCommit });
-        Ok ()
-    | Error `Abort ->
-        tx.dead <- true;
-        Proc.note
-          (History.Tx_res
-             { pid = tx.pid; tx = tx.id; op = History.Try_commit; res = History.RAbort });
-        Error `Abort
-    end
+    instrument ctx tx History.Try_commit rcommit (fun () ->
+        T.try_commit ctx.state tx.inner)
 
   let atomically ctx ~pid ~retries body =
     let rec attempt k =
@@ -142,181 +125,46 @@ module Make (T : Tm_intf.S) = struct
     attempt 0
 end
 
-(* The step-form twin of [Make]: identical instrumentation, with every
-   t-operation a step-machine program, so instrumented TMs run on either
-   machine backend. Kept a line-by-line mirror of [Make] — when editing one,
-   edit both. *)
+(* Every t-operation a step-machine program, so instrumented TMs run on
+   either machine backend. *)
 module Make_step (T : Tm_intf.S_step) = struct
   module Sm = Proc.Step
 
   let ( let* ) = Sm.bind
 
-  type ctx = {
-    state : T.t;
-    machine : Machine.t;
-    mem : Memory.t;
-    next_id : Memory.addr;
-    opix : Memory.addr array;
-  }
+  type nonrec ctx = T.t ctx
 
-  let init machine ~nobjs =
-    let state = T.create machine ~nobjs in
-    let next_id = Machine.alloc machine ~name:"runner.next_id" (Value.Int 0) in
-    let opix =
-      Array.init (Machine.nprocs machine) (fun i ->
-          Machine.alloc machine
-            ~name:(Printf.sprintf "runner.opix.p%d" i)
-            (Value.Int 0))
-    in
-    { state; machine; mem = Machine.memory machine; next_id; opix }
-
+  let init machine ~nobjs = make_ctx machine (T.create machine ~nobjs)
   let tm_state ctx = ctx.state
 
-  type tx = { pid : int; id : int; inner : T.tx; mutable dead : bool }
+  type tx = T.tx handle
 
   let tx_id tx = tx.id
 
   let begin_tx ctx ~pid =
-    Sm.suspend @@ fun () ->
-    let id = Value.to_int (Memory.peek ctx.mem ctx.next_id) in
-    Memory.poke ctx.mem ctx.next_id (Value.int_ (id + 1));
-    Sm.return { pid; id; inner = T.fresh ctx.state ~pid ~id; dead = false }
+    Sm.suspend @@ fun () -> Sm.return (new_handle ctx ~pid T.fresh)
 
-  let guard tx = if tx.dead then invalid_arg "Runner: use of dead transaction"
-
-  let fault_abort ctx tx op =
+  let instrument ctx tx op res_of run =
     Sm.suspend @@ fun () ->
-    let cell = ctx.opix.(tx.pid) in
-    let k = Value.to_int (Memory.peek ctx.mem cell) in
-    Memory.poke ctx.mem cell (Value.int_ (k + 1));
-    if Machine.abort_due ctx.machine tx.pid ~op_index:k then begin
-      tx.dead <- true;
-      let* () = Sm.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op }) in
-      let* () =
-        Sm.note (History.Tx_injected_abort { pid = tx.pid; tx = tx.id })
-      in
-      let* () =
-        Sm.note
-          (History.Tx_res { pid = tx.pid; tx = tx.id; op; res = History.RAbort })
-      in
-      Sm.return true
-    end
-    else Sm.return false
+    if injected ctx tx then
+      Sm.map (fun () -> Error `Abort) (Sm.iter Sm.note (injected_notes tx op))
+    else
+      let* () = Sm.note (inv tx op) in
+      let* r = run () in
+      let* () = Sm.note (response tx op res_of r) in
+      Sm.return r
 
   let read ctx tx x =
-    Sm.suspend @@ fun () ->
-    guard tx;
-    let* injected = fault_abort ctx tx (History.Read x) in
-    if injected then Sm.return (Error `Abort)
-    else
-      let* () =
-        Sm.note
-          (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Read x })
-      in
-      let* r = T.read ctx.state tx.inner x in
-      match r with
-      | Ok v ->
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Read x;
-                   res = History.RVal v;
-                 })
-          in
-          Sm.return (Ok v)
-      | Error `Abort ->
-          tx.dead <- true;
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Read x;
-                   res = History.RAbort;
-                 })
-          in
-          Sm.return (Error `Abort)
+    instrument ctx tx (History.Read x) rval (fun () ->
+        T.read ctx.state tx.inner x)
 
   let write ctx tx x v =
-    Sm.suspend @@ fun () ->
-    guard tx;
-    let* injected = fault_abort ctx tx (History.Write (x, v)) in
-    if injected then Sm.return (Error `Abort)
-    else
-      let* () =
-        Sm.note
-          (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Write (x, v) })
-      in
-      let* r = T.write ctx.state tx.inner x v in
-      match r with
-      | Ok () ->
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Write (x, v);
-                   res = History.ROk;
-                 })
-          in
-          Sm.return (Ok ())
-      | Error `Abort ->
-          tx.dead <- true;
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Write (x, v);
-                   res = History.RAbort;
-                 })
-          in
-          Sm.return (Error `Abort)
+    instrument ctx tx (History.Write (x, v)) rok (fun () ->
+        T.write ctx.state tx.inner x v)
 
   let commit ctx tx =
-    Sm.suspend @@ fun () ->
-    guard tx;
-    let* injected = fault_abort ctx tx History.Try_commit in
-    if injected then Sm.return (Error `Abort)
-    else
-      let* () =
-        Sm.note
-          (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Try_commit })
-      in
-      let* r = T.try_commit ctx.state tx.inner in
-      match r with
-      | Ok () ->
-          tx.dead <- true;
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Try_commit;
-                   res = History.RCommit;
-                 })
-          in
-          Sm.return (Ok ())
-      | Error `Abort ->
-          tx.dead <- true;
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Try_commit;
-                   res = History.RAbort;
-                 })
-          in
-          Sm.return (Error `Abort)
+    instrument ctx tx History.Try_commit rcommit (fun () ->
+        T.try_commit ctx.state tx.inner)
 
   let atomically ctx ~pid ~retries body =
     Sm.suspend @@ fun () ->
@@ -336,9 +184,31 @@ module Make_step (T : Tm_intf.S_step) = struct
     attempt 0
 end
 
+let exec_ops ~read ~write ctx tx ops =
+  let rec go = function
+    | [] -> Ok ()
+    | Workload.R x :: rest -> (
+        match read ctx tx x with
+        | Ok (_ : int) -> go rest
+        | Error `Abort -> Error `Abort)
+    | Workload.W (x, v) :: rest -> (
+        match write ctx tx x v with
+        | Ok () -> go rest
+        | Error `Abort -> Error `Abort)
+  in
+  go ops
+
 type retry_policy =
   | Immediate
   | Backoff of { base : int; factor : int; cap : int; max_retries : int }
+
+let validate_policy = function
+  | Immediate -> ()
+  | Backoff { base; factor; cap; max_retries } ->
+      if max_retries < 0 then
+        invalid_arg "Runner.run: max_retries must be >= 0";
+      if base < 0 || factor < 1 || cap < base then
+        invalid_arg "Runner.run: need base >= 0, factor >= 1, cap >= base"
 
 module Livelock = struct
   type t = {
@@ -402,6 +272,7 @@ type schedule = Round_robin | Random_sched of int
 let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
     ?(faults = []) ?livelock_window ?max_steps ?(monitor = Monitor_off)
     ~schedule (w : Workload.t) =
+  validate_policy policy;
   let module R = Make (T) in
   let nprocs = Array.length w.Workload.procs in
   let machine = Machine.create ~nprocs () in
@@ -431,17 +302,12 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
   let max_retries =
     match policy with
     | Immediate -> retries
-    | Backoff { max_retries; _ } ->
-        if max_retries < 0 then
-          invalid_arg "Runner.run: max_retries must be >= 0";
-        max_retries
+    | Backoff { max_retries; _ } -> max_retries
   in
   let delay k =
     match policy with
     | Immediate -> 0
     | Backoff { base; factor; cap; _ } ->
-        if base < 0 || factor < 1 || cap < base then
-          invalid_arg "Runner.run: need base >= 0, factor >= 1, cap >= base";
         let rec go d i =
           if i <= 0 || d >= cap then min d cap else go (d * factor) (i - 1)
         in
@@ -452,24 +318,12 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
     match det with Some d -> Livelock.tripped d | None -> false
   in
   let exec_tx pid (spec : Workload.tx_spec) =
-    let body tx =
-      let rec go = function
-        | [] -> Ok ()
-        | Workload.R x :: rest -> (
-            match R.read ctx tx x with
-            | Ok _ -> go rest
-            | Error `Abort -> Error `Abort)
-        | Workload.W (x, v) :: rest -> (
-            match R.write ctx tx x v with
-            | Ok () -> go rest
-            | Error `Abort -> Error `Abort)
-      in
-      go spec
-    in
     let rec attempt k =
       let tx = R.begin_tx ctx ~pid in
       let result =
-        match body tx with Ok () -> R.commit ctx tx | Error `Abort -> Error `Abort
+        match exec_ops ~read:R.read ~write:R.write ctx tx spec with
+        | Ok () -> R.commit ctx tx
+        | Error `Abort -> Error `Abort
       in
       match result with
       | Ok () ->

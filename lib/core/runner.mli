@@ -36,10 +36,12 @@ module Make (T : Tm_intf.S) : sig
       t-objects only through {!read} and {!write} on the given handle. *)
 end
 
-(** The step-form twin of {!Make}: the same instrumentation (identical note
-    sequences, fault-injected aborts, id allocation), with every t-operation
-    a step-machine program — so an instrumented step-form TM runs on either
-    {!Machine} backend via {!Machine.spawn_step}, or inside a fiber via
+(** {!Make} for step-form TMs. Both functors sequence one shared
+    implementation of the instrumentation (note construction, id
+    allocation, fault-injected aborts, the dead-handle rule), so their note
+    sequences are identical; here every t-operation is a step-machine
+    program — so an instrumented step-form TM runs on either {!Machine}
+    backend via {!Machine.spawn_step}, or inside a fiber via
     {!Ptm_machine.Proc.Step.perform}. *)
 module Make_step (T : Tm_intf.S_step) : sig
   type ctx
@@ -75,6 +77,19 @@ type retry_policy =
       (** before retry [k], wait [min cap (base * factor^k)] machine steps
           (each a trivial read of a per-process scratch cell, so delays
           occupy schedule positions and rivals run meanwhile) *)
+
+val validate_policy : retry_policy -> unit
+(** @raise Invalid_argument unless a [Backoff] has [max_retries >= 0],
+    [base >= 0], [factor >= 1] and [cap >= base]. {!run} checks this at
+    entry, before any step. *)
+
+val exec_ops :
+  read:('c -> 't -> int -> (int, Tm_intf.abort) result) ->
+  write:('c -> 't -> int -> int -> (unit, Tm_intf.abort) result) ->
+  'c -> 't -> Workload.tx_spec -> (unit, Tm_intf.abort) result
+(** [exec_ops ~read ~write ctx tx ops] issues a transaction's operations in
+    program order through [read]/[write] (e.g. {!Make}'s), stopping at the
+    first abort. The caller commits. *)
 
 (** Livelock detector: flags abort–retry cycles making no commit progress.
     Feed it every attempt outcome; it trips once [window] consecutive abort
