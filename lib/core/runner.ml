@@ -48,11 +48,11 @@ let new_handle ctx ~pid fresh =
    TM-decided abort does. *)
 let injected ctx h =
   if h.dead then invalid_arg "Runner: use of dead transaction";
-  Machine.abort_due ctx.machine h.pid ~op_index:(bump ctx ctx.opix.(h.pid))
-  && begin
-       h.dead <- true;
-       true
-     end
+  let due =
+    Machine.abort_due ctx.machine h.pid ~op_index:(bump ctx ctx.opix.(h.pid))
+  in
+  if due then h.dead <- true;
+  due
 
 let inv h op = History.Tx_inv { pid = h.pid; tx = h.id; op }
 
@@ -115,12 +115,12 @@ module Make (T : Tm_intf.S) = struct
   let atomically ctx ~pid ~retries body =
     let rec attempt k =
       let tx = begin_tx ctx ~pid in
-      match body tx with
-      | Ok a -> (
-          match commit ctx tx with
-          | Ok () -> Ok a
-          | Error `Abort -> if k < retries then attempt (k + 1) else Error `Abort)
-      | Error `Abort -> if k < retries then attempt (k + 1) else Error `Abort
+      let r =
+        match body tx with
+        | Ok a -> Result.map (fun () -> a) (commit ctx tx)
+        | Error `Abort -> Error `Abort
+      in
+      match r with Error `Abort when k < retries -> attempt (k + 1) | r -> r
     in
     attempt 0
 end
@@ -171,15 +171,14 @@ module Make_step (T : Tm_intf.S_step) = struct
     let rec attempt k =
       let* tx = begin_tx ctx ~pid in
       let* r = body tx in
+      let* r =
+        match r with
+        | Ok a -> Sm.map (Result.map (fun () -> a)) (commit ctx tx)
+        | Error `Abort -> Sm.return (Error `Abort)
+      in
       match r with
-      | Ok a -> (
-          let* c = commit ctx tx in
-          match c with
-          | Ok () -> Sm.return (Ok a)
-          | Error `Abort ->
-              if k < retries then attempt (k + 1) else Sm.return (Error `Abort))
-      | Error `Abort ->
-          if k < retries then attempt (k + 1) else Sm.return (Error `Abort)
+      | Error `Abort when k < retries -> attempt (k + 1)
+      | r -> Sm.return r
     in
     attempt 0
 end
@@ -350,17 +349,12 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
           List.iter (fun s -> if not (gave_up ()) then exec_tx pid s) specs))
     w.Workload.procs;
   let out_of_steps =
-    match schedule with
-    | Round_robin -> (
-        try
-          Sched.round_robin ?max_steps machine;
-          false
-        with Sched.Out_of_steps -> true)
-    | Random_sched seed -> (
-        try
-          Sched.random ~seed ?max_steps machine;
-          false
-        with Sched.Out_of_steps -> true)
+    try
+      (match schedule with
+      | Round_robin -> Sched.round_robin ?max_steps machine
+      | Random_sched seed -> Sched.random ~seed ?max_steps machine);
+      false
+    with Sched.Out_of_steps -> true
   in
   Machine.check_crashes machine;
   let history = History.of_trace (Machine.trace machine) in
