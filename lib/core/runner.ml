@@ -55,6 +55,7 @@ let injected ctx h =
   due
 
 let inv h op = History.Tx_inv { pid = h.pid; tx = h.id; op }
+let res h op res = History.Tx_res { pid = h.pid; tx = h.id; op; res }
 
 (* An injected abort's notes: the invocation, the [Tx_injected_abort] mark
    that tells the progress checkers the abort was fault-injected, and the
@@ -63,15 +64,15 @@ let injected_notes h op =
   [
     inv h op;
     History.Tx_injected_abort { pid = h.pid; tx = h.id };
-    History.Tx_res { pid = h.pid; tx = h.id; op; res = History.RAbort };
+    res h op History.RAbort;
   ]
 
 (* The response note of the TM's outcome. An abort or a commit retires the
    handle. *)
 let response h op res_of r =
-  let res = match r with Ok a -> res_of a | Error `Abort -> History.RAbort in
-  (match res with History.RAbort | History.RCommit -> h.dead <- true | _ -> ());
-  History.Tx_res { pid = h.pid; tx = h.id; op; res }
+  let v = match r with Ok a -> res_of a | Error `Abort -> History.RAbort in
+  (match v with History.RAbort | History.RCommit -> h.dead <- true | _ -> ());
+  res h op v
 
 let rval v = History.RVal v
 let rok () = History.ROk
