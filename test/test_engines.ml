@@ -110,7 +110,7 @@ let test_fixture_differential () =
     Ptm_tms.Registry.stepwise
 
 (* Fault plans for the step/direct runner differential: injected aborts
-   of a write and of a commit (the runners' [fault_abort] paths) and a
+   of a write and of a commit (the runner's injected-abort path) and a
    crash, which can leave a lock-based TM's survivor spinning — so every
    run is bounded, and a budget trip is part of the fingerprint. *)
 let fault_plans =
