@@ -36,6 +36,8 @@
      dune exec bench/main.exe -- e11 quick  # CI perf-smoke (small time budget)
      dune exec bench/main.exe -- paper    # only E1-E9, diffed against
                                           # bench/paper.expected by dune runtest
+     dune exec bench/main.exe -- exact    # only E10 and E13, diffed against
+                                          # bench/exact.expected by dune runtest
 *)
 
 open Ptm_core
@@ -1817,6 +1819,10 @@ let () =
   end
   else if arg "gate" then gate ~quick:true ()
   else if arg "paper" then paper ()
+  else if arg "exact" then begin
+    e10 ();
+    e13 ()
+  end
   else begin
     paper ();
     e10 ();
