@@ -20,27 +20,16 @@ let () =
 let no_plan : Fault.spec array = [||]
 let no_aborts : int array = [||]
 
-(* A parked process is either a fiber outcome (effect-handler backend) or a
-   step-machine outcome (closure backend); the constructors of the two
-   outcome types mirror each other, so every case analysis below treats them
-   through parallel arms. *)
-type pstate =
-  | P_idle
-  | F of Proc.outcome
-  | S of Proc.Step.outcome
-
-type prog =
-  | Prog_none
-  | Prog_fun of (unit -> unit)
-  | Prog_step of unit Proc.Step.t
-
+(* A parked process is one [Proc.outcome], whether a fiber or a step
+   program produced it. An idle slot holds [Done] with [spawned] false. *)
 type slot = {
-  mutable state : pstate;
+  mutable state : Proc.outcome;
+  mutable spawned : bool;
   mutable steps : int;
   mutable scheds : int;  (* scheduled slots consumed (steps + pauses + skips) *)
   mutable stall_left : int;  (* remaining no-op slots of an active stall *)
   mutable halted : bool;  (* crash-stopped by a fault; never runs again *)
-  mutable prog : prog;  (* retained for [restart] *)
+  mutable prog : (unit -> Proc.outcome) option;  (* restarted by [restart] *)
   (* Installed fault plan for this pid: Crash/Stall specs sorted by [at]
      with a cursor, Abort op indices sorted (consulted by the runner via
      [abort_due]). Like [prog], the plan survives [reset]/[restart]; only
@@ -78,12 +67,13 @@ let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
     procs =
       Array.init nprocs (fun _ ->
           {
-            state = P_idle;
+            state = Proc.Done;
+            spawned = false;
             steps = 0;
             scheds = 0;
             stall_left = 0;
             halted = false;
-            prog = Prog_none;
+            prog = None;
             plan = no_plan;
             f_next = 0;
             abort_plan = no_aborts;
@@ -96,7 +86,6 @@ let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
   }
 
 let nprocs t = Array.length t.procs
-let engine t = t.engine
 let memory t = t.memory
 let trace t = t.trace
 let alloc t ?owner ~name v = Memory.alloc t.memory ?owner ~name v
@@ -111,46 +100,39 @@ let invariant t pid (s : slot) what =
 
 (* Record notes until the process is parked on a memory request, a pause, or
    has finished. Notes are instantaneous and free. *)
-let rec drain t pid (o : pstate) : pstate =
+let rec drain t pid (o : Proc.outcome) : Proc.outcome =
   match o with
-  | F (Proc.Wants_note (n, k)) ->
+  | Proc.Wants_note (n, k) ->
       Trace.add_note t.trace ~pid n;
-      drain t pid (F (Effect.Deep.continue k ()))
-  | S (Proc.Step.Wants_note (n, k)) ->
-      Trace.add_note t.trace ~pid n;
-      drain t pid (S (Proc.Step.resume_unit k))
+      drain t pid (Proc.resume_unit k)
   | o -> o
 
-let is_idle s = match s.state with P_idle -> true | _ -> false
+let start_slot t pid (s : slot) start =
+  s.spawned <- true;
+  s.state <- drain t pid (start ())
 
-let pre_spawn t pid (s : slot) =
-  if not (is_idle s) then invalid_arg "Machine.spawn: process already spawned";
+let install t pid start =
+  let s = slot t pid in
+  if s.spawned then invalid_arg "Machine.spawn: process already spawned";
   if t.base_cells < 0 then t.base_cells <- Memory.size t.memory;
-  if s.prog = Prog_none then begin
+  if Option.is_none s.prog then begin
     t.spawn_seq.(t.nspawned) <- pid;
     t.nspawned <- t.nspawned + 1
-  end
+  end;
+  s.prog <- Some start;
+  start_slot t pid s start
 
-let spawn t pid f =
-  let s = slot t pid in
-  pre_spawn t pid s;
-  s.prog <- Prog_fun f;
-  s.state <- drain t pid (F (Proc.start f))
+let spawn t pid f = install t pid (fun () -> Proc.start f)
 
-(* A step program runs on whichever backend the machine was created with:
-   under [Steps] it is driven directly (no fiber is ever created for it);
-   under [Fibers] it is interpreted via {!Proc.Step.perform} inside an
-   effect-handler process, performing the same effects in the same order. *)
-let start_step t p =
-  match t.engine with
-  | Steps -> S (Proc.Step.start p)
-  | Fibers -> F (Proc.start (fun () -> Proc.Step.perform p))
-
+(* The one engine-dependent choice: under [Steps] a step program produces
+   its outcomes directly (no fiber is ever created for it); under [Fibers]
+   it is interpreted via {!Proc.Step.perform} inside a fiber, performing the
+   same effects in the same order. *)
 let spawn_step t pid p =
-  let s = slot t pid in
-  pre_spawn t pid s;
-  s.prog <- Prog_step p;
-  s.state <- drain t pid (start_step t p)
+  install t pid
+    (match t.engine with
+    | Steps -> fun () -> Proc.Step.start p
+    | Fibers -> fun () -> Proc.start (fun () -> Proc.Step.perform p))
 
 let reset t =
   if t.base_cells >= 0 then Memory.truncate t.memory t.base_cells;
@@ -158,7 +140,8 @@ let reset t =
   Trace.clear t.trace;
   Array.iter
     (fun s ->
-      s.state <- P_idle;
+      s.state <- Proc.Done;
+      s.spawned <- false;
       s.steps <- 0;
       s.scheds <- 0;
       s.stall_left <- 0;
@@ -172,9 +155,8 @@ let restart t =
     let pid = t.spawn_seq.(i) in
     let s = t.procs.(pid) in
     match s.prog with
-    | Prog_fun f -> s.state <- drain t pid (F (Proc.start f))
-    | Prog_step p -> s.state <- drain t pid (start_step t p)
-    | Prog_none -> assert false
+    | Some start -> start_slot t pid s start
+    | None -> assert false
   done
 
 (* ------------------------------------------------------------------ *)
@@ -239,9 +221,7 @@ let plan_due s =
 
 let running s =
   match s.state with
-  | F (Proc.Wants_mem _ | Proc.Wants_pause _)
-  | S (Proc.Step.Wants_mem _ | Proc.Step.Wants_pause _) ->
-      not s.halted
+  | Proc.Wants_mem _ | Proc.Wants_pause _ -> not s.halted
   | _ -> false
 
 let inject_crash t pid =
@@ -264,24 +244,21 @@ let stalled t pid = (slot t pid).stall_left > 0 && running (slot t pid)
 
 let status t pid =
   let s = slot t pid in
-  match s.state with
-  | P_idle -> Idle
-  | F Proc.Done | S Proc.Step.Done -> Terminated
-  | F (Proc.Failed e) | S (Proc.Step.Failed e) -> Crashed e
-  | F (Proc.Wants_mem _ | Proc.Wants_pause _)
-  | S (Proc.Step.Wants_mem _ | Proc.Step.Wants_pause _) ->
-      if s.halted then Halted else Runnable
-  | F (Proc.Wants_note _) | S (Proc.Step.Wants_note _) ->
-      invariant t pid s "undrained note outside a scheduled step"
+  if not s.spawned then Idle
+  else
+    match s.state with
+    | Proc.Done -> Terminated
+    | Proc.Failed e -> Crashed e
+    | Proc.Wants_mem _ | Proc.Wants_pause _ ->
+        if s.halted then Halted else Runnable
+    | Proc.Wants_note _ ->
+        invariant t pid s "undrained note outside a scheduled step"
 
 let poised t pid =
   let s = slot t pid in
   if s.halted then None
   else
-    match s.state with
-    | F (Proc.Wants_mem (req, _)) | S (Proc.Step.Wants_mem (req, _)) ->
-        Some req
-    | _ -> None
+    match s.state with Proc.Wants_mem (req, _) -> Some req | _ -> None
 
 (* Allocation-free status probes for the schedule explorer's inner loop. *)
 
@@ -293,7 +270,7 @@ let any_crashed t =
     pid < n
     &&
     match t.procs.(pid).state with
-    | F (Proc.Failed _) | S (Proc.Step.Failed _) -> true
+    | Proc.Failed _ -> true
     | _ -> go (pid + 1)
   in
   go 0
@@ -308,11 +285,10 @@ let packed_pend t pid =
   if s.halted then -2
   else
     match s.state with
-    | F (Proc.Wants_mem ({ Proc.addr; prim }, _))
-    | S (Proc.Step.Wants_mem ({ Proc.addr; prim }, _)) ->
+    | Proc.Wants_mem ({ Proc.addr; prim }, _) ->
         if s.stall_left > 0 || plan_due s then -1
         else (addr lsl 1) lor (if Primitive.is_trivial prim then 1 else 0)
-    | F (Proc.Wants_pause _) | S (Proc.Step.Wants_pause _) -> -1
+    | Proc.Wants_pause _ -> -1
     | _ -> -2
 
 (* Consume one scheduled slot of a running process with the fault layer:
@@ -346,60 +322,38 @@ let fault_slot t pid s =
   end
   else false
 
-(* Apply the pending primitive and account for it; shared by the two
-   backend arms of [step_slot]. *)
-let exec_mem t (s : slot) ~pid ~addr ~prim =
-  let resp =
-    if Trace.recording t.trace then begin
-      let resp, changed = Memory.apply t.memory ~pid addr prim in
-      Trace.add_mem t.trace ~pid ~addr prim resp changed;
-      t.last_changed <- changed;
-      resp
-    end
-    else begin
-      (* trace off: no entry is built, the event is only counted *)
-      Trace.tick t.trace;
-      t.last_changed <- false;
-      Memory.apply_fast t.memory ~pid addr prim
-    end
-  in
-  t.last_resp <- resp;
-  s.steps <- s.steps + 1;
-  s.scheds <- s.scheds + 1;
-  resp
-
 let step_slot t pid (s : slot) : step_result =
   match s.state with
-  | P_idle
-  | F (Proc.Done | Proc.Failed _)
-  | S (Proc.Step.Done | Proc.Step.Failed _) ->
-      `Done
-  | F (Proc.Wants_note _) | S (Proc.Step.Wants_note _) ->
+  | Proc.Done | Proc.Failed _ -> `Done
+  | Proc.Wants_note _ ->
       invariant t pid s "undrained note outside a scheduled step"
-  | ( F (Proc.Wants_pause _ | Proc.Wants_mem _)
-    | S (Proc.Step.Wants_pause _ | Proc.Step.Wants_mem _) )
-    when s.halted ->
-      `Done
-  | ( F (Proc.Wants_pause _ | Proc.Wants_mem _)
-    | S (Proc.Step.Wants_pause _ | Proc.Step.Wants_mem _) )
-    when fault_slot t pid s ->
+  | (Proc.Wants_pause _ | Proc.Wants_mem _) when s.halted -> `Done
+  | (Proc.Wants_pause _ | Proc.Wants_mem _) when fault_slot t pid s ->
       (* the slot was consumed without a memory event, like a pause *)
       `Paused
-  | F (Proc.Wants_pause k) ->
+  | Proc.Wants_pause k ->
       s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (F (Effect.Deep.continue k ()));
+      s.state <- drain t pid (Proc.resume_unit k);
       `Paused
-  | S (Proc.Step.Wants_pause k) ->
+  | Proc.Wants_mem ({ Proc.addr; prim }, k) ->
+      let resp =
+        if Trace.recording t.trace then begin
+          let resp, changed = Memory.apply t.memory ~pid addr prim in
+          Trace.add_mem t.trace ~pid ~addr prim resp changed;
+          t.last_changed <- changed;
+          resp
+        end
+        else begin
+          (* trace off: no entry is built, the event is only counted *)
+          Trace.tick t.trace;
+          t.last_changed <- false;
+          Memory.apply_fast t.memory ~pid addr prim
+        end
+      in
+      t.last_resp <- resp;
+      s.steps <- s.steps + 1;
       s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (S (Proc.Step.resume_unit k));
-      `Paused
-  | F (Proc.Wants_mem ({ Proc.addr; prim }, k)) ->
-      let resp = exec_mem t s ~pid ~addr ~prim in
-      s.state <- drain t pid (F (Effect.Deep.continue k resp));
-      `Progress
-  | S (Proc.Step.Wants_mem ({ Proc.addr; prim }, k)) ->
-      let resp = exec_mem t s ~pid ~addr ~prim in
-      s.state <- drain t pid (S (Proc.Step.resume k resp));
+      s.state <- drain t pid (Proc.resume k resp);
       `Progress
 
 let step t pid : step_result = step_slot t pid (slot t pid)
@@ -415,33 +369,21 @@ let last_changed t = t.last_changed
 let feed t pid resp ~changed =
   let s = t.procs.(pid) in
   match s.state with
-  | ( F (Proc.Wants_pause _ | Proc.Wants_mem _)
-    | S (Proc.Step.Wants_pause _ | Proc.Step.Wants_mem _) )
-    when s.halted ->
+  | (Proc.Wants_pause _ | Proc.Wants_mem _) when s.halted ->
       invalid_arg "Machine.feed: process is halted"
-  | ( F (Proc.Wants_pause _ | Proc.Wants_mem _)
-    | S (Proc.Step.Wants_pause _ | Proc.Step.Wants_mem _) )
-    when fault_slot t pid s ->
+  | (Proc.Wants_pause _ | Proc.Wants_mem _) when fault_slot t pid s ->
       (* same gate as [step]: the logged position was a fault slot, which
          records the same notes and touches no memory *)
       ()
-  | F (Proc.Wants_pause k) ->
+  | Proc.Wants_pause k ->
       (* Pauses consume no event and record nothing, exactly like [step]. *)
       s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (F (Effect.Deep.continue k ()))
-  | S (Proc.Step.Wants_pause k) ->
-      s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (S (Proc.Step.resume_unit k))
-  | F (Proc.Wants_mem ({ Proc.addr; prim }, k)) ->
+      s.state <- drain t pid (Proc.resume_unit k)
+  | Proc.Wants_mem ({ Proc.addr; prim }, k) ->
       Trace.add_mem t.trace ~pid ~addr prim resp changed;
       s.steps <- s.steps + 1;
       s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (F (Effect.Deep.continue k resp))
-  | S (Proc.Step.Wants_mem ({ Proc.addr; prim }, k)) ->
-      Trace.add_mem t.trace ~pid ~addr prim resp changed;
-      s.steps <- s.steps + 1;
-      s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (S (Proc.Step.resume k resp))
+      s.state <- drain t pid (Proc.resume k resp)
   | _ -> invalid_arg "Machine.feed: process not runnable"
 
 let steps_of t pid = (slot t pid).steps
@@ -451,19 +393,11 @@ let all_done t =
   Array.for_all
     (fun s ->
       s.halted
-      ||
-      match s.state with
-      | P_idle
-      | F (Proc.Done | Proc.Failed _)
-      | S (Proc.Step.Done | Proc.Step.Failed _) ->
-          true
-      | _ -> false)
+      || match s.state with Proc.Done | Proc.Failed _ -> true | _ -> false)
     t.procs
 
 let check_crashes t =
   Array.iter
     (fun s ->
-      match s.state with
-      | F (Proc.Failed e) | S (Proc.Step.Failed e) -> raise e
-      | _ -> ())
+      match s.state with Proc.Failed e -> raise e | _ -> ())
     t.procs

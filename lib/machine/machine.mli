@@ -11,17 +11,17 @@ type t
 
 type pid = int
 
+(** How {!spawn_step} starts a step program. Every process is one
+    {!Proc.outcome} to the machine; the engine only picks its producer. *)
 type engine =
   | Fibers
-      (** processes as effect-handler coroutines — the reference backend,
-          able to run arbitrary direct-style closures ({!spawn}) and
-          step-machine programs (via {!Proc.Step.perform}) *)
+      (** the program is interpreted via {!Proc.Step.perform} inside a
+          fiber, as a direct-style {!spawn} closure is *)
   | Steps
-      (** step-machine programs driven directly by closure application: no
-          fiber is created and no stack switch happens per step. Only
-          {!spawn_step} programs can run on this backend; {!spawn} always
-          uses fibers. Bit-identical to [Fibers] on traces, statuses, step
-          counts and fault semantics by construction. *)
+      (** the program produces its outcomes itself: no fiber is created
+          and no stack switch happens per step. Bit-identical to [Fibers]
+          on traces, statuses, step counts and fault semantics by
+          construction. *)
 
 exception
   Invariant of { pid : int; slot : int; seq : int; what : string }
@@ -51,7 +51,6 @@ val create : ?trace:Trace.sink -> ?engine:engine -> nprocs:int -> unit -> t
     {!spawn_step} programs; executions are bit-identical across engines. *)
 
 val nprocs : t -> int
-val engine : t -> engine
 val memory : t -> Memory.t
 val trace : t -> Trace.t
 

@@ -8,10 +8,14 @@ type _ Effect.t +=
 type outcome =
   | Done
   | Failed of exn
-  | Wants_mem of request * (Value.t, outcome) Effect.Deep.continuation
-  | Wants_note of Trace.note * (unit, outcome) Effect.Deep.continuation
-  | Wants_pause of (unit, outcome) Effect.Deep.continuation
+  | Wants_mem of request * (Value.t -> outcome)
+  | Wants_note of Trace.note * (unit -> outcome)
+  | Wants_pause of (unit -> outcome)
 
+(* A direct-style body runs in a fiber; each effect it performs parks it as
+   the outcome a step program would have produced, with the fiber's resumption
+   as the closure. An exception raised after a resumption reaches [exnc], so
+   resuming a fiber outcome never raises. *)
 let start f =
   Effect.Deep.match_with f ()
     {
@@ -23,17 +27,23 @@ let start f =
           | Apply req ->
               Some
                 (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                  Wants_mem (req, k))
+                  Wants_mem (req, fun v -> Effect.Deep.continue k v))
           | Note n ->
               Some
                 (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                  Wants_note (n, k))
+                  Wants_note (n, fun () -> Effect.Deep.continue k ()))
           | Pause ->
               Some
                 (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                  Wants_pause (k))
+                  Wants_pause (fun () -> Effect.Deep.continue k ()))
           | _ -> None);
     }
+
+let resume (k : Value.t -> outcome) (v : Value.t) : outcome =
+  try k v with e -> Failed e
+
+let resume_unit (k : unit -> outcome) : outcome =
+  try k () with e -> Failed e
 
 let apply addr prim = Effect.perform (Apply { addr; prim })
 let note n = Effect.perform (Note n)
@@ -55,23 +65,14 @@ let sc a v = Value.to_bool (apply a (Primitive.Sc v))
 (* ------------------------------------------------------------------ *)
 (* Defunctionalized step machines.                                     *)
 (*                                                                     *)
-(* A [Step] process is an explicit value: running it one step applies  *)
-(* an ordinary OCaml closure to the pending response, no fiber switch  *)
-(* involved. The [outcome] constructors mirror the fiber outcomes      *)
-(* above one for one, so the machine treats either backend through the *)
-(* same case analysis; [perform] interprets a step program inside a    *)
-(* fiber, performing the same effects in the same order, which is what *)
-(* makes the two backends bit-identical by construction.               *)
+(* A [Step] program builds its outcomes directly: running it one step  *)
+(* applies an ordinary OCaml closure to the pending response, no fiber *)
+(* involved. [perform] interprets a step program inside a fiber,       *)
+(* performing the same effects in the same order, which is what makes  *)
+(* the two ways of running it bit-identical by construction.           *)
 (* ------------------------------------------------------------------ *)
 
 module Step = struct
-  type outcome =
-    | Done
-    | Failed of exn
-    | Wants_mem of request * (Value.t -> outcome)
-    | Wants_note of Trace.note * (unit -> outcome)
-    | Wants_pause of (unit -> outcome)
-
   type 'a t = ('a -> outcome) -> outcome
 
   (* [return], [bind], [map] and [suspend] take the continuation in a
@@ -122,12 +123,6 @@ module Step = struct
 
   let start (p : unit t) : outcome =
     try p (fun () -> Done) with e -> Failed e
-
-  let resume (k : Value.t -> outcome) (v : Value.t) : outcome =
-    try k v with e -> Failed e
-
-  let resume_unit (k : unit -> outcome) : outcome =
-    try k () with e -> Failed e
 
   let perform (type a) (p : a t) : a =
     let cell : a option ref = ref None in

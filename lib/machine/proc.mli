@@ -1,14 +1,22 @@
-(** Simulated processes as effect-handler coroutines.
+(** Simulated processes (paper, Section 2).
 
-    A process is an OCaml computation that interacts with shared memory by
-    performing the {!Apply} effect; every performed [Apply] is one step (one
-    event) of the paper's model. Local computation between two primitive
+    A process is poised on one event at a time. Its state between two
+    scheduled steps is an {!outcome}: finished, crashed, or poised on a
+    memory request, a note or a pause, together with a closure that resumes
+    it with the response. Local computation between two primitive
     applications is free, exactly as in the step model of Section 2.
 
-    The scheduler owns the continuation: after a process performs [Apply] it
-    is {e poised} to apply that event (the paper's "enabled event"); the event
-    actually takes effect only when the scheduler next steps the process, at
-    which point the primitive is applied to the then-current memory. *)
+    The scheduler owns the resumption: after a process produces [Wants_mem]
+    it is {e poised} to apply that event (the paper's "enabled event"); the
+    event actually takes effect only when the scheduler next steps the
+    process, at which point the primitive is applied to the then-current
+    memory.
+
+    Outcomes have two producers. {!start} runs a direct-style closure that
+    performs the {!Apply}/{!Note}/{!Pause} effects inside an effect handler;
+    each effect parks the fiber, and the outcome's closure continues it. A
+    {!Step} program builds the outcomes itself, with no fiber. The machine
+    sees one kind of process either way. *)
 
 type request = { addr : Memory.addr; prim : Primitive.t }
 
@@ -22,12 +30,21 @@ type _ Effect.t +=
 type outcome =
   | Done
   | Failed of exn
-  | Wants_mem of request * (Value.t, outcome) Effect.Deep.continuation
-  | Wants_note of Trace.note * (unit, outcome) Effect.Deep.continuation
-  | Wants_pause of (unit, outcome) Effect.Deep.continuation
+  | Wants_mem of request * (Value.t -> outcome)
+  | Wants_note of Trace.note * (unit -> outcome)
+  | Wants_pause of (unit -> outcome)
 
 val start : (unit -> unit) -> outcome
-(** Run a process body until its first effect (or completion). *)
+(** Run a direct-style process body in a fiber until its first effect (or
+    completion); an exception it raises, now or after a resumption, becomes
+    [Failed]. *)
+
+val resume : (Value.t -> outcome) -> Value.t -> outcome
+(** Resume a [Wants_mem] closure with a response, catching an exception
+    into [Failed]. *)
+
+val resume_unit : (unit -> outcome) -> outcome
+(** Resume a [Wants_note]/[Wants_pause] closure. *)
 
 (** Effect-performing operations, callable only from inside a process body. *)
 
@@ -51,15 +68,12 @@ val sc : Memory.addr -> Value.t -> bool
 (** Processes as defunctionalized step machines.
 
     A [Step.t] program is an explicit state value in continuation-passing
-    style: running it yields an {!Step.outcome} whose [Wants_*] constructors
-    carry a plain OCaml closure instead of an effect continuation, so the
-    scheduler advances the process with an ordinary (multi-shot, exception-
-    catching) function call — no fiber switch per step. The constructors
-    mirror {!outcome} one for one, and {!Step.perform} interprets a step
-    program inside an effect-handler process performing the identical effect
-    sequence, so a step program run under either machine backend produces
-    bit-identical traces by construction (the fiber path remains the
-    reference semantics).
+    style: running it yields an {!outcome} whose closures are plain OCaml
+    code, so the scheduler advances the process with an ordinary
+    (multi-shot) function call — no fiber switch per step. {!Step.perform}
+    interprets a step program inside a direct-style body, performing the
+    identical effect sequence, so a step program run either way produces
+    bit-identical traces by construction.
 
     Construction discipline: a combinator expression is evaluated the moment
     it is applied, so any side effect outside a [bind] body (or a
@@ -70,13 +84,6 @@ val sc : Memory.addr -> Value.t -> bool
     external mutable state. *)
 
 module Step : sig
-  type outcome =
-    | Done
-    | Failed of exn
-    | Wants_mem of request * (Value.t -> outcome)
-    | Wants_note of Trace.note * (unit -> outcome)
-    | Wants_pause of (unit -> outcome)
-
   type 'a t = ('a -> outcome) -> outcome
   (** A program delivering an ['a], as a function of its continuation. *)
 
@@ -121,16 +128,9 @@ module Step : sig
   (** Run a program until its first effect (or completion); an exception
       raised before the first effect becomes [Failed]. *)
 
-  val resume : (Value.t -> outcome) -> Value.t -> outcome
-  (** Resume a [Wants_mem] closure with a response, catching exceptions into
-      [Failed] exactly as the fiber handler does. *)
-
-  val resume_unit : (unit -> outcome) -> outcome
-  (** Resume a [Wants_note]/[Wants_pause] closure. *)
-
   val perform : 'a t -> 'a
   (** Interpret a step program inside an effect-handler process (callable
       only from a process body): performs {!Apply}/{!Note}/{!Pause} for each
-      [Wants_*] in program order. This is the bridge that runs step-form
-      code on the fiber backend. *)
+      [Wants_*] in program order. This is how a step program runs inside a
+      fiber, and how direct-style code calls step-form code. *)
 end
