@@ -740,9 +740,7 @@ let e13 () =
             Runner.run
               (module T)
               ~retries:300
-              ~policy:
-                (Runner.Backoff
-                   { base = 1; factor = 2; cap = 8; max_retries = 300 })
+              ~policy:(Runner.Backoff { base = 1; factor = 2; cap = 8 })
               ~faults ~livelock_window:500 ~max_steps:200_000
               ~schedule:(Runner.Random_sched 11) w
           in

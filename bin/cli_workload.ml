@@ -134,9 +134,9 @@ let run_cmd =
       match backoff with
       | None -> Ptm_core.Runner.Immediate
       | Some (base, factor, cap) ->
-          Ptm_core.Runner.Backoff { base; factor; cap; max_retries = retries }
+          Ptm_core.Runner.Backoff { base; factor; cap }
     in
-    (match Ptm_core.Runner.validate_policy policy with
+    (match Ptm_core.Runner.validate_policy ~retries policy with
     | () -> ()
     | exception Invalid_argument msg ->
         Fmt.epr "%s@." msg;

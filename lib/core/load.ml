@@ -264,6 +264,7 @@ let validate cfg =
   if cfg.clients < cfg.nprocs then
     invalid_arg "Load: need at least one client per process";
   if cfg.txs_per_client < 0 then invalid_arg "Load: negative txs_per_client";
+  if cfg.retries < 0 then invalid_arg "Load: retries must be >= 0";
   if cfg.mix.ops_min < 1 || cfg.mix.ops_max < cfg.mix.ops_min then
     invalid_arg "Load: bad tx-length range";
   if cfg.sample < 0.0 || cfg.sample > 1.0 then

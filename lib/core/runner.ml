@@ -200,13 +200,13 @@ let exec_ops ~read ~write ctx tx ops =
 
 type retry_policy =
   | Immediate
-  | Backoff of { base : int; factor : int; cap : int; max_retries : int }
+  | Backoff of { base : int; factor : int; cap : int }
 
-let validate_policy = function
+let validate_policy ~retries policy =
+  if retries < 0 then invalid_arg "Runner.run: retries must be >= 0";
+  match policy with
   | Immediate -> ()
-  | Backoff { base; factor; cap; max_retries } ->
-      if max_retries < 0 then
-        invalid_arg "Runner.run: max_retries must be >= 0";
+  | Backoff { base; factor; cap } ->
       if base < 0 || factor < 1 || cap < base then
         invalid_arg "Runner.run: need base >= 0, factor >= 1, cap >= base"
 
@@ -272,7 +272,7 @@ type schedule = Round_robin | Random_sched of int
 let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
     ?(faults = []) ?livelock_window ?max_steps ?(monitor = Monitor_off)
     ~schedule (w : Workload.t) =
-  validate_policy policy;
+  validate_policy ~retries policy;
   let module R = Make (T) in
   let nprocs = Array.length w.Workload.procs in
   let machine = Machine.create ~nprocs () in
@@ -299,15 +299,10 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
   let det =
     Option.map (fun window -> Livelock.create ~window ~nprocs ()) livelock_window
   in
-  let max_retries =
-    match policy with
-    | Immediate -> retries
-    | Backoff { max_retries; _ } -> max_retries
-  in
   let delay k =
     match policy with
     | Immediate -> 0
-    | Backoff { base; factor; cap; _ } ->
+    | Backoff { base; factor; cap } ->
         let rec go d i =
           if i <= 0 || d >= cap then min d cap else go (d * factor) (i - 1)
         in
@@ -332,7 +327,7 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
       | Error `Abort ->
           incr aborts;
           (match det with Some d -> Livelock.record_abort d pid | None -> ());
-          if k < max_retries && not (gave_up ()) then begin
+          if k < retries && not (gave_up ()) then begin
             (* Realize the back-off as machine steps: each waited slot is one
                (trivial) read of this pid's scratch cell, so delays occupy
                schedule positions and rival transactions can run meanwhile. *)

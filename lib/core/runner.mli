@@ -73,13 +73,13 @@ end
 
 type retry_policy =
   | Immediate  (** re-issue an aborted attempt on the next scheduled slot *)
-  | Backoff of { base : int; factor : int; cap : int; max_retries : int }
+  | Backoff of { base : int; factor : int; cap : int }
       (** before retry [k], wait [min cap (base * factor^k)] machine steps
           (each a trivial read of a per-process scratch cell, so delays
           occupy schedule positions and rivals run meanwhile) *)
 
-val validate_policy : retry_policy -> unit
-(** @raise Invalid_argument unless a [Backoff] has [max_retries >= 0],
+val validate_policy : retries:int -> retry_policy -> unit
+(** @raise Invalid_argument unless [retries >= 0] and a [Backoff] has
     [base >= 0], [factor >= 1] and [cap >= base]. {!run} checks this at
     entry, before any step. *)
 
@@ -170,9 +170,9 @@ val run :
   outcome
 (** Run the workload to quiescence. [retries] (default 0) is how many times an
     aborted transaction attempt is re-issued (each retry is a fresh
-    transaction); it is superseded by [Backoff]'s own [max_retries] when
-    [policy] (default {!Immediate}) is a back-off. Crashes inside TM code are
-    re-raised.
+    transaction), under either [policy] (default {!Immediate}); a negative
+    count raises [Invalid_argument] (see {!validate_policy}). Crashes inside
+    TM code are re-raised.
 
     [faults] (default []) is installed via {!Machine.set_faults}:
     crash/stall specs fire by scheduled slot; [Fault.Abort] specs abort the

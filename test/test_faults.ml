@@ -516,7 +516,7 @@ let test_backoff_consumes_steps () =
   in
   let imm = run Runner.Immediate in
   let bo =
-    run (Runner.Backoff { base = 4; factor = 2; cap = 16; max_retries = 2 })
+    run (Runner.Backoff { base = 4; factor = 2; cap = 16 })
   in
   Alcotest.(check int) "immediate: third attempt commits" 1 imm.Runner.commits;
   Alcotest.(check int) "backoff: third attempt commits" 1 bo.Runner.commits;
@@ -536,7 +536,7 @@ let test_backoff_cap () =
   in
   let imm = run Runner.Immediate in
   let o =
-    run (Runner.Backoff { base = 1; factor = 10; cap = 5; max_retries = 5 })
+    run (Runner.Backoff { base = 1; factor = 10; cap = 5 })
   in
   Alcotest.(check int) "commits" 1 o.Runner.commits;
   Alcotest.(check int) "aborts" 5 o.Runner.aborts;

@@ -276,6 +276,7 @@ let test_bad_configs () =
   expect "more procs than clients" { base with Load.nprocs = 100 };
   expect "bad sample" { base with Load.sample = 1.5 };
   expect "frontier 0" { base with Load.monitor_frontier = 0 };
+  expect "retries -1" { base with Load.retries = -1 };
   expect "bad length range"
     { base with Load.mix = { base.Load.mix with Load.ops_min = 0 } }
 

@@ -222,24 +222,27 @@ let test_history_note_well_formed () =
       | _ -> ())
     o.Runner.history.History.txns
 
-(* A malformed back-off is rejected at entry, even on a conflict-free
-   workload whose run would never reach a retry. *)
+(* A malformed back-off or a negative retry count is rejected at entry, even
+   on a conflict-free workload whose run would never reach a retry. *)
 let test_bad_backoff_rejected () =
   let w : Workload.t =
     { Workload.nobjs = 1; procs = [| [ [ Workload.W (0, 1) ] ] |] }
   in
   List.iter
-    (fun (what, policy) ->
+    (fun (what, retries, policy) ->
       match
-        Runner.run (module Ptm_tms.Tl2) ~policy ~schedule:Runner.Round_robin w
+        Runner.run
+          (module Ptm_tms.Tl2)
+          ~retries ~policy ~schedule:Runner.Round_robin w
       with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "%s: malformed back-off accepted" what)
+      | _ -> Alcotest.failf "%s: malformed retry policy accepted" what)
     [
-      ("base -1", Runner.Backoff { base = -1; factor = 2; cap = 16; max_retries = 5 });
-      ("factor 0", Runner.Backoff { base = 1; factor = 0; cap = 16; max_retries = 5 });
-      ("cap < base", Runner.Backoff { base = 8; factor = 2; cap = 4; max_retries = 5 });
-      ("max_retries -1", Runner.Backoff { base = 1; factor = 2; cap = 4; max_retries = -1 });
+      ("base -1", 5, Runner.Backoff { base = -1; factor = 2; cap = 16 });
+      ("factor 0", 5, Runner.Backoff { base = 1; factor = 0; cap = 16 });
+      ("cap < base", 5, Runner.Backoff { base = 8; factor = 2; cap = 4 });
+      ("retries -1, back-off", -1, Runner.Backoff { base = 1; factor = 2; cap = 4 });
+      ("retries -1, immediate", -1, Runner.Immediate);
     ]
 
 let () =
