@@ -21,24 +21,6 @@ let tm_conv =
   let print ppf (module T : Ptm_core.Tm_intf.S) = Fmt.string ppf T.name in
   Arg.conv (parse, print)
 
-let sink_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "off" -> Ok Ptm_machine.Trace.Off
-    | "full" -> Ok Ptm_machine.Trace.Full
-    | s when String.length s > 5 && String.sub s 0 5 = "ring:" -> (
-        match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-        | Some n when n > 0 -> Ok (Ptm_machine.Trace.Ring n)
-        | _ -> Error (`Msg "ring capacity must be a positive integer"))
-    | _ -> Error (`Msg (Printf.sprintf "unknown trace sink %S (off|ring:N|full)" s))
-  in
-  let print ppf = function
-    | Ptm_machine.Trace.Off -> Fmt.string ppf "off"
-    | Ptm_machine.Trace.Ring n -> Fmt.pf ppf "ring:%d" n
-    | Ptm_machine.Trace.Full -> Fmt.string ppf "full"
-  in
-  Arg.conv (parse, print)
-
 let lock_conv =
   let parse s =
     match Ptm_mutex.Mutex_registry.by_name s with

@@ -57,16 +57,6 @@ let explore_cmd =
       & info [ "progress" ] ~docv:"K"
           ~doc:"Print a progress line to stderr every $(docv) leaves (0: off).")
   in
-  let trace_arg =
-    Arg.(
-      value
-      & opt sink_conv Ptm_machine.Trace.Off
-      & info [ "trace" ] ~docv:"SINK"
-          ~doc:
-            "Trace sink for the explored machines: $(b,off) (allocation-free \
-             hot path, the default — verdicts here are crash-based and need \
-             no trace), $(b,ring:N) (keep the last N entries) or $(b,full).")
-  in
   let pool_arg =
     Arg.(
       value
@@ -181,7 +171,7 @@ let explore_cmd =
              agreement; any disagreement is a violation).")
   in
   let run (module L : Ptm_mutex.Mutex_intf.S) max_steps nprocs max_paths
-      reduce domains compare progress_every trace pool checkpoint_stride
+      reduce domains compare progress_every pool checkpoint_stride
       crashes stalls stall_steps checkpoint_file resume tm_step cm engine
       check =
     let tm_step = Option.map (Cli_common.apply_cm_step cm) tm_step in
@@ -190,7 +180,11 @@ let explore_cmd =
                 history)@.";
        exit 2
      end);
-    let trace = if check <> None then Ptm_machine.Trace.Full else trace in
+    (* Lock verdicts are crash-based and need no trace; the leaf checkers
+       read the full trace. *)
+    let trace =
+      if check <> None then Ptm_machine.Trace.Full else Ptm_machine.Trace.Off
+    in
     let checked = Atomic.make 0
     and disagreements = Atomic.make 0
     and undecided = Atomic.make 0 in
@@ -399,7 +393,7 @@ let explore_cmd =
           reduction and parallel domains.")
     Term.(
       const run $ lock_arg $ steps_arg $ procs_arg $ paths_arg $ reduce_arg
-      $ domains_arg $ compare_arg $ progress_arg $ trace_arg $ pool_arg
+      $ domains_arg $ compare_arg $ progress_arg $ pool_arg
       $ stride_arg $ crashes_arg $ stalls_arg $ stall_steps_arg
       $ checkpoint_arg $ resume_arg $ tm_step_arg $ Cli_common.cm_arg
       $ engine_arg $ check_arg)

@@ -12,18 +12,16 @@ type mem_event = {
 
 type entry = Mem of mem_event | Note of { seq : int; pid : int; note : note }
 
-type sink = Off | Ring of int | Full
+type sink = Off | Full
 
-(* Array-backed sink. [buf] is flat storage for [Full] (grow-on-demand,
-   [start] pinned at 0) and a circular buffer for [Ring n] ([start] is the
-   oldest stored entry). [total] is the global sequence counter: it advances
-   on every recorded event, including ones an [Off] or saturated [Ring] sink
-   does not retain, so seq numbers are schedule positions regardless of the
-   sink. *)
+(* Array-backed sink. [buf] is grow-on-demand flat storage for [Full], so
+   under [Full] an entry's index is its seq. [total] is the global sequence
+   counter: it advances on every recorded event, including the ones an [Off]
+   sink does not retain, so seq numbers are schedule positions regardless of
+   the sink. *)
 type t = {
   sink : sink;
   mutable buf : entry array;
-  mutable start : int;
   mutable stored : int;
   mutable total : int;
   mutable observer : (entry -> unit) option;
@@ -32,11 +30,7 @@ type t = {
 }
 
 let create ?(sink = Full) () =
-  (match sink with
-  | Ring n when n <= 0 ->
-      invalid_arg "Trace.create: ring capacity must be positive"
-  | _ -> ());
-  { sink; buf = [||]; start = 0; stored = 0; total = 0; observer = None }
+  { sink; buf = [||]; stored = 0; total = 0; observer = None }
 
 let set_observer t f = t.observer <- f
 
@@ -57,17 +51,7 @@ let push t e =
         t.buf <- fresh
       end;
       t.buf.(t.stored) <- e;
-      t.stored <- t.stored + 1
-  | Ring n ->
-      if Array.length t.buf = 0 then t.buf <- Array.make n e;
-      if t.stored < n then begin
-        t.buf.((t.start + t.stored) mod n) <- e;
-        t.stored <- t.stored + 1
-      end
-      else begin
-        t.buf.(t.start) <- e;
-        t.start <- (t.start + 1) mod n
-      end);
+      t.stored <- t.stored + 1);
   t.total <- t.total + 1
 
 let add_mem t ~pid ~addr prim resp changed =
@@ -89,42 +73,36 @@ let add_note t ~pid note =
 (* Return to the post-create state in place, keeping [buf] allocated so a
    pooled machine's next run reuses the storage. *)
 let clear t =
-  t.start <- 0;
   t.stored <- 0;
   t.total <- 0
 
 let length t = t.total
 let stored t = t.stored
-let first_seq t = t.total - t.stored
-
-let get_stored t i = t.buf.((t.start + i) mod Array.length t.buf)
 
 let get t seq =
-  let first = first_seq t in
-  if seq < first || seq >= t.total then
+  if seq < 0 || seq >= t.stored then
     invalid_arg "Trace.get: seq not retained by this sink";
-  get_stored t (seq - first)
+  t.buf.(seq)
 
 let iter t f =
   for i = 0 to t.stored - 1 do
-    f (get_stored t i)
+    f t.buf.(i)
   done
 
 let iter_from t seq f =
-  let i0 = max 0 (seq - first_seq t) in
-  for i = i0 to t.stored - 1 do
-    f (get_stored t i)
+  for i = max 0 seq to t.stored - 1 do
+    f t.buf.(i)
   done
 
 let entries t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (get_stored t i :: acc) in
+  let rec go i acc = if i < 0 then acc else go (i - 1) (t.buf.(i) :: acc) in
   go (t.stored - 1) []
 
 let mem_events t =
   let rec go i acc =
     if i < 0 then acc
     else
-      match get_stored t i with
+      match t.buf.(i) with
       | Mem e -> go (i - 1) (e :: acc)
       | Note _ -> go (i - 1) acc
   in

@@ -10,12 +10,11 @@
 
     A trace is a {e sink}: {!Full} retains every entry in a flat
     O(1)-amortized array (the default, and what every offline analysis
-    expects), {!Ring}[ n] retains only the last [n] entries (bounded memory
-    for long debugging runs), and {!Off} retains nothing — the machine's
-    per-step recording cost drops to a counter increment, which is what lets
-    the schedule explorer run allocation-free. Sequence numbers are global
-    schedule positions and keep advancing even when the sink drops entries,
-    so {!length} is the event+note count under every sink. *)
+    expects), and {!Off} retains nothing — the machine's per-step recording
+    cost drops to a counter increment, which is what lets the schedule
+    explorer run allocation-free. Sequence numbers are global schedule
+    positions and keep advancing under [Off], so {!length} is the
+    event+note count under either sink. *)
 
 type note = ..
 
@@ -34,14 +33,12 @@ type entry = Mem of mem_event | Note of { seq : int; pid : int; note : note }
 
 type sink =
   | Off  (** record nothing; {!length} still counts *)
-  | Ring of int  (** keep the last [n] entries (capacity must be positive) *)
   | Full  (** keep everything (default) *)
 
 type t
 
 val create : ?sink:sink -> unit -> t
-(** Defaults to {!Full}. Raises [Invalid_argument] on [Ring n] with
-    [n <= 0]. *)
+(** Defaults to {!Full}. *)
 
 val sink : t -> sink
 
@@ -73,15 +70,11 @@ val length : t -> int
     the sink retained them. *)
 
 val stored : t -> int
-(** Entries currently retained: [length] for {!Full}, at most [n] for
-    {!Ring}[ n], [0] for {!Off}. *)
-
-val first_seq : t -> int
-(** Sequence number of the oldest retained entry ([length - stored]). *)
+(** Entries currently retained: [length] for {!Full}, [0] for {!Off}. *)
 
 val get : t -> int -> entry
 (** [get t seq]: the retained entry with sequence number [seq], in O(1).
-    Raises [Invalid_argument] if the sink no longer (or never) holds it. *)
+    Raises [Invalid_argument] if the sink does not hold it. *)
 
 val entries : t -> entry list
 (** All retained entries, oldest first. *)

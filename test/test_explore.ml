@@ -462,8 +462,8 @@ let test_budget_preserves_witness () =
 
 (* The sink is pure observation: every stat of the search — including the
    traversal bookkeeping (replays, steps, fused steps) and the witness — is
-   identical whether the explored machines record a full trace, a bounded
-   ring, or nothing. The verdicts here are crash-based (occupancy
+   identical whether the explored machines record a full trace or nothing.
+   The verdicts here are crash-based (occupancy
    assertions), so they need no trace. *)
 
 let test_sink_invariance () =
@@ -477,12 +477,7 @@ let test_sink_invariance () =
               ~max_steps ~mode ()
           in
           let full = run Trace.Full in
-          let ring = run (Trace.Ring 4) in
           let off = run Trace.Off in
-          Alcotest.(check bool)
-            (L.name ^ ": ring sink changes nothing")
-            true
-            (full = ring);
           Alcotest.(check bool)
             (L.name ^ ": off sink changes nothing")
             true
@@ -530,7 +525,7 @@ let prop_sinks_agree =
               ()
           in
           let full = run Trace.Full in
-          full = run Trace.Off && full = run (Trace.Ring 3))
+          full = run Trace.Off)
         [ Explore.Naive; Explore.Dpor ])
 
 (* The DPOR path/prune counts of the standard fixtures, pinned: the bitmask
@@ -663,29 +658,38 @@ let test_checkpoint_savings () =
   Alcotest.(check bool) "stride 4 saves > 50% of the replay tax" true
     (2 * s4.Explore.replay_steps_saved > replay_tax)
 
+(* Each process is spawned either as a direct-style closure or as the same
+   program in [Proc.Step] form, on a drawn engine: the machine holds one
+   kind of process, so the mix explores exactly like all-closure
+   processes. *)
 let prop_replay_configs_agree =
   let open QCheck2 in
   let gen =
     Gen.(
-      pair
-        (list_size (2 -- 3) (list_size (1 -- 2) (int_bound 1)))
-        (int_bound (List.length replay_configs - 1)))
+      triple
+        (list_size (2 -- 3) (pair (list_size (1 -- 2) (int_bound 1)) bool))
+        (int_bound (List.length replay_configs - 1))
+        bool)
   in
-  let print (progs, ci) =
+  let print (progs, ci, steps) =
     let label, _, _ = List.nth replay_configs ci in
-    label ^ ": "
+    label
+    ^ (if steps then " Steps: " else " Fibers: ")
     ^ String.concat " | "
         (List.map
-           (fun p -> String.concat ";" (List.map string_of_int p))
+           (fun (p, as_step) ->
+             (if as_step then "step " else "fun ")
+             ^ String.concat ";" (List.map string_of_int p))
            progs)
   in
   Test.make ~count:25
     ~name:"pooling/checkpointing do not change exploration" ~print gen
-    (fun (progs, ci) ->
+    (fun (progs, ci, steps) ->
       let _, pool, stride = List.nth replay_configs ci in
       let nprocs = List.length progs in
-      let mk () =
-        let m = Machine.create ~nprocs () in
+      let engine = if steps then Machine.Steps else Machine.Fibers in
+      let mk ~mixed () =
+        let m = Machine.create ~engine ~nprocs () in
         let cells =
           [|
             Machine.alloc m ~name:"a" (Value.Int 0);
@@ -693,28 +697,36 @@ let prop_replay_configs_agree =
           |]
         in
         List.iteri
-          (fun pid prog ->
-            Machine.spawn m pid (fun () ->
-                List.iter
-                  (fun obj ->
-                    let c = cells.(obj) in
-                    let v = Proc.read_int c in
-                    Proc.write c (Value.Int (v + 1)))
-                  prog))
+          (fun pid (prog, as_step) ->
+            if mixed && as_step then
+              Machine.spawn_step m pid
+                (Proc.Step.iter
+                   (fun obj ->
+                     let c = cells.(obj) in
+                     Proc.Step.bind (Proc.Step.read_int c) (fun v ->
+                         Proc.Step.write c (Value.Int (v + 1))))
+                   prog)
+            else
+              Machine.spawn m pid (fun () ->
+                  List.iter
+                    (fun obj ->
+                      let c = cells.(obj) in
+                      let v = Proc.read_int c in
+                      Proc.write c (Value.Int (v + 1)))
+                    prog))
           progs;
         m
       in
       List.for_all
         (fun mode ->
-          let base =
-            Explore.run ~mk ~max_steps:14 ~max_paths:30_000 ~mode ~pool:false
-              ~checkpoint_stride:0 ()
+          let run ~mixed ~pool ~stride =
+            Explore.run ~mk:(mk ~mixed) ~max_steps:14 ~max_paths:30_000 ~mode
+              ~pool ~checkpoint_stride:stride ()
           in
-          let s =
-            Explore.run ~mk ~max_steps:14 ~max_paths:30_000 ~mode ~pool
-              ~checkpoint_stride:stride ()
-          in
-          scrub_replay s = scrub_replay base)
+          let base = run ~mixed:true ~pool:false ~stride:0 in
+          let s = run ~mixed:true ~pool ~stride in
+          scrub_replay s = scrub_replay base
+          && base = run ~mixed:false ~pool:false ~stride:0)
         [ Explore.Naive; Explore.Dpor ])
 
 let test_progress_callback () =

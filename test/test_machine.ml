@@ -196,46 +196,26 @@ let test_trace_sink_off () =
   Alcotest.(check bool) "entries empty" true (Trace.entries tr = []);
   Alcotest.(check bool) "not recording" false (Trace.recording tr)
 
-let test_trace_sink_ring () =
-  let m, _ = mk_faa_machine (Trace.Ring 4) in
+let test_trace_sink_full () =
+  let m, _ = mk_faa_machine Trace.Full in
   let tr = Machine.trace m in
-  Alcotest.(check int) "seq counter is global" 10 (Trace.length tr);
-  Alcotest.(check int) "only the window retained" 4 (Trace.stored tr);
-  Alcotest.(check int) "window starts at 6" 6 (Trace.first_seq tr);
-  (* retained entries are the last four events, oldest first *)
+  Alcotest.(check int) "seq counter" 10 (Trace.length tr);
+  Alcotest.(check int) "every entry retained" 10 (Trace.stored tr);
   let seqs =
     List.filter_map
       (function Trace.Mem e -> Some e.Trace.seq | Trace.Note _ -> None)
       (Trace.entries tr)
   in
-  Alcotest.(check (list int)) "seqs of the window" [ 6; 7; 8; 9 ] seqs;
+  Alcotest.(check (list int)) "seqs in order" (List.init 10 Fun.id) seqs;
   (match Trace.get tr 7 with
   | Trace.Mem e -> Alcotest.(check int) "get by seq" 7 e.Trace.seq
   | Trace.Note _ -> Alcotest.fail "expected a mem event");
-  Alcotest.check_raises "evicted seq rejected"
+  Alcotest.check_raises "seq past the end rejected"
     (Invalid_argument "Trace.get: seq not retained by this sink") (fun () ->
-      ignore (Trace.get tr 3));
-  (* iter_from clamps to the retained window *)
+      ignore (Trace.get tr 10));
   let n = ref 0 in
-  Trace.iter_from tr 0 (fun _ -> incr n);
-  Alcotest.(check int) "iter_from clamped" 4 !n
-
-let test_trace_sink_full_matches_ring_tail () =
-  let m_full, _ = mk_faa_machine Trace.Full in
-  let full = Machine.trace m_full in
-  Alcotest.(check int) "full retains all" 10 (Trace.stored full);
-  Alcotest.(check int) "full starts at 0" 0 (Trace.first_seq full);
-  let tail_full =
-    List.filteri (fun i _ -> i >= 6) (Trace.entries full)
-  in
-  let m_ring, _ = mk_faa_machine (Trace.Ring 4) in
-  Alcotest.(check bool) "ring window = full tail" true
-    (tail_full = Trace.entries (Machine.trace m_ring))
-
-let test_trace_ring_capacity_positive () =
-  Alcotest.check_raises "ring 0 rejected"
-    (Invalid_argument "Trace.create: ring capacity must be positive")
-    (fun () -> ignore (Trace.create ~sink:(Trace.Ring 0) ()))
+  Trace.iter_from tr 6 (fun _ -> incr n);
+  Alcotest.(check int) "iter_from starts at its seq" 4 !n
 
 (* ------------------------------------------------------------------ *)
 (* Machine: processes, steps, scheduling                              *)
@@ -331,6 +311,62 @@ let test_machine_crash_surfaces () =
   | _ -> Alcotest.fail "expected crash status");
   Alcotest.check_raises "reraises" (Failure "boom") (fun () ->
       Machine.check_crashes m)
+
+exception Boom of int
+
+(* A crashed process, then [reset]: the slot reads as never spawned on
+   every probe, and [restart] re-runs the program to the same crash. The
+   explorer's pool recycles a violating path's machine this way. Closure
+   and step processes, on either engine, are one kind of process here. *)
+let test_machine_reset_after_crash () =
+  List.iter
+    (fun (engine, as_step) ->
+      let label =
+        Printf.sprintf "%s on %s"
+          (if as_step then "step program" else "closure")
+          (match engine with Machine.Fibers -> "Fibers" | Steps -> "Steps")
+      in
+      let m = Machine.create ~engine ~nprocs:1 () in
+      let x = Machine.alloc m ~name:"x" (Value.Int 0) in
+      if as_step then
+        Machine.spawn_step m 0
+          (Proc.Step.bind (Proc.Step.faa x 1) (fun v -> raise (Boom v)))
+      else Machine.spawn m 0 (fun () -> raise (Boom (Proc.faa x 1)));
+      let crash () =
+        Alcotest.(check bool)
+          (label ^ ": poised on the faa")
+          true
+          (Machine.poised m 0 = Some { Proc.addr = x; prim = Primitive.Faa 1 });
+        Sched.round_robin m;
+        (match Machine.status m 0 with
+        | Machine.Crashed (Boom 0) -> ()
+        | _ -> Alcotest.failf "%s: expected Crashed (Boom 0)" label);
+        Alcotest.(check int) (label ^ ": one event") 1 (Machine.steps_of m 0);
+        Alcotest.(check bool) (label ^ ": any_crashed") true
+          (Machine.any_crashed m)
+      in
+      crash ();
+      Machine.reset m;
+      Alcotest.(check bool)
+        (label ^ ": idle after reset")
+        true
+        (Machine.status m 0 = Machine.Idle);
+      Alcotest.(check bool) (label ^ ": no crash after reset") false
+        (Machine.any_crashed m);
+      Machine.check_crashes m;
+      Alcotest.(check bool) (label ^ ": all done") true (Machine.all_done m);
+      Alcotest.(check bool) (label ^ ": not poised") true
+        (Machine.poised m 0 = None);
+      Alcotest.(check int) (label ^ ": packed_pend") (-2)
+        (Machine.packed_pend m 0);
+      Machine.restart m;
+      crash ())
+    [
+      (Machine.Fibers, false);
+      (Machine.Steps, false);
+      (Machine.Fibers, true);
+      (Machine.Steps, true);
+    ]
 
 let test_machine_script () =
   let m = Machine.create ~nprocs:2 () in
@@ -791,12 +827,8 @@ let () =
         [
           Alcotest.test_case "off counts but retains nothing" `Quick
             test_trace_sink_off;
-          Alcotest.test_case "ring keeps the last N" `Quick
-            test_trace_sink_ring;
-          Alcotest.test_case "ring window equals full tail" `Quick
-            test_trace_sink_full_matches_ring_tail;
-          Alcotest.test_case "ring capacity must be positive" `Quick
-            test_trace_ring_capacity_positive;
+          Alcotest.test_case "full keeps every entry" `Quick
+            test_trace_sink_full;
         ] );
       ( "machine",
         [
@@ -807,6 +839,8 @@ let () =
             test_machine_spin_terminates;
           Alcotest.test_case "out of steps" `Quick test_machine_out_of_steps;
           Alcotest.test_case "crash surfaces" `Quick test_machine_crash_surfaces;
+          Alcotest.test_case "reset after a crash" `Quick
+            test_machine_reset_after_crash;
           Alcotest.test_case "script" `Quick test_machine_script;
           Alcotest.test_case "notes are free" `Quick test_machine_notes_are_free;
           Alcotest.test_case "double spawn" `Quick test_machine_double_spawn;
